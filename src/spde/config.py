@@ -2,11 +2,15 @@
 
 A config document has five sections (model, basis, run, experiment,
 out_dir) plus the command.  Unknown keys anywhere are errors, flags
-override file fields, and the dt | save_dt | t_end divisibility contract
-is enforced up front so every downstream ratio is an exact integer.
+override file fields, model parameters and initial-data coefficients
+must be finite numbers, and the dt | save_dt | t_end divisibility
+contract is enforced up front so every downstream ratio is an exact
+integer.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +73,34 @@ def _reject_unknown(section, mapping, allowed):
         if key not in allowed:
             raise ConfigError(f"unknown key {section}.{key}" if section else
                               f"unknown key {key}")
+
+
+def _finite_number(value, what):
+    """Reject anything but a finite real number; JSON true/false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _positive_int(value, what):
+    """An integer >= 1, given as an int or an integral float."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _check_coefficients(value, what):
+    """A preset name or a non-empty list of finite coefficients."""
+    if isinstance(value, str):
+        if value not in _X0_PRESETS:
+            raise ConfigError(f"{what} preset must be one of {_X0_PRESETS}")
+        return
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{what} must be a preset name or a list of numbers")
+    for i, entry in enumerate(value):
+        _finite_number(entry, f"{what}[{i}]")
 
 
 def _require_ratio(num, den, what):
@@ -141,6 +173,8 @@ def load_config(path=None, flags=None):
     if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}")
     _reject_unknown("model", model_sec, _MODEL_PARAMS[name])
+    for key, value in model_sec.items():
+        _finite_number(value, f"model.{key}")
     _reject_unknown("basis", basis_sec, _BASIS_KEYS)
     _reject_unknown("run", run_sec, _RUN_KEYS)
     _reject_unknown("experiment", exp_sec, _EXPERIMENT_KEYS)
@@ -169,9 +203,12 @@ def load_config(path=None, flags=None):
     _require_ratio(run["save_dt"], run["dt"], "save_dt/dt")
     _require_ratio(run["t_end"], run["save_dt"], "t_end/save_dt")
 
-    x0 = exp_sec.get("x0", "e1")
-    if isinstance(x0, str) and x0 not in _X0_PRESETS:
-        raise ConfigError(f"experiment.x0 preset must be one of {_X0_PRESETS}")
+    for key in ("x0", "direction"):
+        if key in exp_sec:
+            _check_coefficients(exp_sec[key], f"experiment.{key}")
+    if "n_samples" in exp_sec:
+        exp_sec["n_samples"] = _positive_int(exp_sec["n_samples"],
+                                             "experiment.n_samples")
 
     return ExperimentConfig(command=command, model_name=name,
                             model_params=model_sec, basis=basis, run=run,

@@ -93,9 +93,10 @@ def test_hemicontinuity_plaplacian_smooth():
 def test_hemicontinuity_flags_discontinuous_drift():
     model = sm.build_model("fixture-bad-h1")
     basis = model.make_basis(16)
-    rep = ck.check_hemicontinuity(model, basis, n_samples=1000, seed=5)
-    assert not rep.passed
-    assert rep.n_violations >= 1
+    for n_samples in (256, 1000):      # one block; four with a partial last one
+        rep = ck.check_hemicontinuity(model, basis, n_samples=n_samples, seed=5)
+        assert not rep.passed
+        assert rep.n_violations >= 1
 
 
 def test_coercivity_fit_heat():
@@ -223,3 +224,118 @@ def test_report_csv_shape():
     assert len(rows) == len(reports) + 1
     text = ck.format_summary("heat-ou", reports)
     assert "H1" in text and "pass" in text
+
+
+# --- H1 on one fine lambda grid -------------------------------------------
+
+def three_grid_h1(model, basis, n_samples, seed, n_lambda=16):
+    """Reference H1: a separate linspace and apply_A call per grid, as
+    before the coarse grids became strided views of the fine one."""
+    n = basis.n_modes
+    scales = (0.1, 1.0, 3.0, 10.0)
+    us = sb.sample_coeffs(basis, n_samples, seed, scales=scales)
+    vs = sb.sample_coeffs(basis, n_samples, seed + 1, scales=scales)
+    xs = sb.sample_coeffs(basis, n_samples, seed + 2, scales=scales)
+    cells = n_lambda - 1
+    jumps, peaks = [], []
+    for f in (1, 4, 16):
+        grid = np.linspace(-1.0, 1.0, f * cells + 1)
+        j = np.empty(n_samples)
+        gmax = np.empty(n_samples)
+        for lo in range(0, n_samples, 256):
+            hi = min(lo + 256, n_samples)
+            states = us[lo:hi, None, :] + grid[None, :, None] * vs[lo:hi, None, :]
+            a = model.apply_A(basis, 0.0, states.reshape(-1, n))
+            g = np.einsum("slk,sk->sl", a.reshape(hi - lo, grid.size, n), xs[lo:hi])
+            j[lo:hi] = np.max(np.abs(np.diff(g, axis=1)), axis=1)
+            gmax[lo:hi] = np.max(np.abs(g), axis=1)
+        jumps.append(j)
+        peaks.append(gmax)
+    floor = 1e-12 * (1.0 + peaks[0])
+    j1, j2 = jumps[1], jumps[2]
+    return np.where(j1 > floor, j2 / np.maximum(j1, floor), 0.0)
+
+
+class PowCahnHilliard(sm.CahnHilliard):
+    """Cahn-Hilliard with the cubic written as a float power."""
+
+    def phi(self, u):
+        return self.a3 * u ** 3 + self.a1 * u
+
+
+def assert_report_matches_ratios(rep, ratios, rtol):
+    margins = 0.6 - ratios
+    got = [rep.min_margin, rep.median_margin, rep.mean_margin,
+           rep.fitted_constants["mean_ratio"], rep.fitted_constants["max_ratio"]]
+    want = [np.min(margins), np.median(margins), np.mean(margins),
+            np.mean(ratios), np.max(ratios)]
+    if rtol == 0:
+        assert got == [float(w) for w in want]
+    else:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+    assert rep.n_violations == int(np.sum(margins < -ck.TOL))
+
+
+@pytest.mark.parametrize("name", ["heat-ou", "p-laplacian", "convection-diffusion"])
+def test_hemicontinuity_one_grid_matches_three_grids_bitwise(name):
+    model = sm.build_model(name)
+    basis = model.make_basis(16)
+    rep = ck.check_hemicontinuity(model, basis, n_samples=300, seed=4)
+    assert_report_matches_ratios(rep, three_grid_h1(model, basis, 300, 4), rtol=0)
+
+
+def test_hemicontinuity_one_grid_matches_three_grids_cahn_hilliard():
+    # the reference also cubes by float power, so the two differ only in
+    # the last bits of phi(u)
+    model = sm.build_model("cahn-hilliard")
+    basis = model.make_basis(16)
+    rep = ck.check_hemicontinuity(model, basis, n_samples=300, seed=4)
+    ref = three_grid_h1(PowCahnHilliard(), basis, 300, 4)
+    assert_report_matches_ratios(rep, ref, rtol=1e-12)
+
+
+class RowCountingHeat(sm.HeatOU):
+    def __init__(self):
+        super().__init__(sigma=0.5)
+        self.rows = 0
+        self.calls = 0
+
+    def apply_A(self, basis, t, coeffs):
+        self.rows += np.asarray(coeffs).reshape(-1, basis.n_modes).shape[0]
+        self.calls += 1
+        return super().apply_A(basis, t, coeffs)
+
+
+@pytest.mark.parametrize("n_samples,n_lambda", [(300, 16), (100, 17), (512, 16)])
+def test_hemicontinuity_evaluates_each_lambda_once(n_samples, n_lambda):
+    model = RowCountingHeat()
+    basis = model.make_basis(8)
+    ck.check_hemicontinuity(model, basis, n_samples=n_samples, n_lambda=n_lambda)
+    assert model.rows == (16 * (n_lambda - 1) + 1) * n_samples
+    assert model.calls == -(-n_samples // 256)          # one call per block
+
+
+def test_cahn_hilliard_phi_matches_power_form():
+    model = sm.CahnHilliard(phi_cubic=1.3, phi_linear=-0.7)
+    u = np.random.default_rng(0).standard_normal(4000) * np.repeat(
+        [1e-3, 1.0, 10.0, 1e3], 1000)
+    cubic, linear = model.a3 * u ** 3, model.a1 * u
+    # relative to the size of the two terms: near the roots of phi they
+    # cancel, and one ulp of the cubic is then a large share of the sum
+    err = np.abs(model.phi(u) - (cubic + linear))
+    assert np.all(err <= 1e-14 * (np.abs(cubic) + np.abs(linear)))
+
+
+def test_nonfinite_margins_are_violations():
+    # a NaN noise amplitude makes every sigma-dependent margin NaN; NaN
+    # compares false against the tolerance and must still count as failing
+    model = sm.PLaplacian(sigma=float("nan"))
+    basis = model.make_basis(8)
+    reports = {r.condition: r for r in ck.run_all(model, basis, n_samples=64)}
+    assert reports["H1"].passed                      # H1 does not involve sigma
+    for cond in ("H2", "H3", "H5"):
+        rep = reports[cond]
+        assert np.isnan(rep.min_margin)
+        assert not rep.passed and rep.n_violations >= 1
+    text = ck.format_summary(model.name, reports.values())
+    assert "FAIL" in text

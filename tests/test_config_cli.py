@@ -167,3 +167,83 @@ def test_cli_thread_invariance(tmp_path):
     assert cli.main(base + ["--threads", "4", "--out", str(outb)]) == 0
     assert (outa / "equicontinuity.csv").read_bytes() == \
         (outb / "equicontinuity.csv").read_bytes()
+
+
+def assert_usage_error(capsys, code, needle):
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "p-laplacian", "--sigma", "nan"],
+    ["--model", "heat-ou", "--sigma", "inf"],
+    ["--model", "gradient-noise-heat", "--nu=-inf"],
+])
+def test_cli_rejects_nonfinite_model_parameters(tmp_path, capsys, flags):
+    code = cli.main(["check", *flags, "--n-samples", "64",
+                     "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, "must be a finite number")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "p-laplacian", "p": float("nan")},
+    {"name": "p-laplacian", "c": "1"},
+    {"name": "cahn-hilliard", "phi_cubic": float("inf")},
+    {"name": "cahn-hilliard", "phi_linear": None},
+    {"name": "convection-diffusion", "mono_scale": True},
+])
+def test_config_rejects_nonfinite_model_parameters(tmp_path, model):
+    path = write_cfg(tmp_path, {"command": "check", "model": model})
+    key = next(k for k in model if k != "name")
+    with pytest.raises(ConfigError, match=f"model.{key} must be a finite number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("n_samples", ["0", "-5"])
+def test_cli_rejects_bad_n_samples_flag(tmp_path, capsys, n_samples):
+    code = cli.main(["check", "--model", "heat-ou", "--n-samples", n_samples,
+                     "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, "experiment.n_samples must be an integer >= 1")
+
+
+@pytest.mark.parametrize("n_samples", ["abc", 2.5, 0, True, None, float("nan")])
+def test_cli_rejects_bad_n_samples_in_config(tmp_path, capsys, n_samples):
+    path = write_cfg(tmp_path, {"command": "check", "model": {"name": "heat-ou"},
+                                "experiment": {"n_samples": n_samples}})
+    code = cli.main(["check", "--config", path, "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, "experiment.n_samples must be an integer >= 1")
+
+
+def test_config_normalises_n_samples(tmp_path):
+    path = write_cfg(tmp_path, {"command": "check", "model": {"name": "heat-ou"},
+                                "experiment": {"n_samples": 300.0}})
+    n = load_config(path).experiment["n_samples"]
+    assert n == 300 and isinstance(n, int)
+
+
+@pytest.mark.parametrize("x0", [[1, "a", 0, 0], [1.0, float("nan")], [],
+                                {"k": 1}, 3.0, [[1.0, 0.0]]])
+def test_cli_rejects_bad_x0_list(tmp_path, capsys, x0):
+    path = write_cfg(tmp_path, {"command": "simulate", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4},
+                                "run": {"t_end": 0.01, "dt": 0.001},
+                                "experiment": {"x0": x0}})
+    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "s")])
+    assert_usage_error(capsys, code, "experiment.x0")
+
+
+def test_config_rejects_bad_direction(tmp_path):
+    path = write_cfg(tmp_path, {"command": "continuity", "model": {"name": "heat-ou"},
+                                "experiment": {"direction": [0, "b"]}})
+    with pytest.raises(ConfigError, match=r"experiment.direction\[1\]"):
+        load_config(path)
+
+
+def test_config_accepts_numeric_x0_list(tmp_path):
+    path = write_cfg(tmp_path, {"command": "simulate", "model": {"name": "heat-ou"},
+                                "experiment": {"x0": [1, 0.5, 0, -2e-3]}})
+    cfg = load_config(path)
+    assert np.array_equal(initial_coefficients(cfg.experiment["x0"], 4),
+                          [1.0, 0.5, 0.0, -2e-3])
