@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis
+from .diagnostics import PROBE_MODES
 from .errors import ConfigError
 from .models import MODELS, build_model
 
@@ -82,13 +83,24 @@ def _finite_number(value, what):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def _positive_int(value, what):
-    """An integer >= 1, given as an int or an integral float."""
+def _integer(value, what, minimum=1):
+    """An integer >= minimum, given as an int or an integral float."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_levels(value):
+    """Galerkin levels: at least two distinct integers >= 1."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"experiment.levels must be a list, got {value!r}")
+    levels = [_integer(v, f"experiment.levels[{i}]") for i, v in enumerate(value)]
+    if len(levels) < 2 or len(set(levels)) != len(levels):
+        raise ConfigError(
+            f"experiment.levels must hold at least two distinct integers, got {value!r}")
+    return levels
 
 
 def _check_coefficients(value, what):
@@ -183,19 +195,13 @@ def load_config(path=None, flags=None):
     run = {**_DEFAULTS["run"], **run_sec}
     run.setdefault("save_dt", run["dt"])
 
-    if int(basis["n_modes"]) < 1:
-        raise ConfigError("basis.n_modes must be >= 1")
-    basis["n_modes"] = int(basis["n_modes"])
+    basis["n_modes"] = _integer(basis["n_modes"], "basis.n_modes")
     if basis.get("grid_size") is not None:
-        basis["grid_size"] = int(basis["grid_size"])
+        basis["grid_size"] = _integer(basis["grid_size"], "basis.grid_size")
         if basis["grid_size"] < 4 * basis["n_modes"]:
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
-    if int(run["paths"]) < 1:
-        raise ConfigError("run.paths must be >= 1")
-    run["paths"] = int(run["paths"])
-    run["seed"] = int(run["seed"])
-    if run["seed"] < 0:
-        raise ConfigError("run.seed must be >= 0")
+    run["paths"] = _integer(run["paths"], "run.paths")
+    run["seed"] = _integer(run["seed"], "run.seed", minimum=0)
     if run.get("stepper") is not None and run["stepper"] not in (
             "explicit-tamed", "semi-implicit"):
         raise ConfigError(f"unknown stepper {run['stepper']!r}")
@@ -207,8 +213,12 @@ def load_config(path=None, flags=None):
         if key in exp_sec:
             _check_coefficients(exp_sec[key], f"experiment.{key}")
     if "n_samples" in exp_sec:
-        exp_sec["n_samples"] = _positive_int(exp_sec["n_samples"],
-                                             "experiment.n_samples")
+        exp_sec["n_samples"] = _integer(exp_sec["n_samples"], "experiment.n_samples")
+    if "levels" in exp_sec:
+        exp_sec["levels"] = _check_levels(exp_sec["levels"])
+    if "mode" in exp_sec and exp_sec["mode"] not in PROBE_MODES:
+        raise ConfigError(f"experiment.mode must be one of {PROBE_MODES}, "
+                          f"got {exp_sec['mode']!r}")
 
     return ExperimentConfig(command=command, model_name=name,
                             model_params=model_sec, basis=basis, run=run,

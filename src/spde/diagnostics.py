@@ -9,6 +9,7 @@ on the save grid.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import InadmissiblePError, InvalidDeltaError, NonfiniteStateError
 
 # sub-stream offsets so experiments sharing a seed stay decoupled
 _PERTURB_STREAM = 7919
+
+PROBE_MODES = ("dt-refinement", "stepper", "identical")
 
 
 @dataclass
@@ -76,8 +79,15 @@ def _mean_se(values):
 
 
 def _alive(ensemble):
+    """Surviving trajectories and the blown count; an ensemble in which
+    every path blew up has nothing to estimate from."""
     trajs = [t for t in ensemble.trajectories if t.blew_up_at is None]
-    return trajs, ensemble.M - len(trajs)
+    n_blown = ensemble.M - len(trajs)
+    if not trajs:
+        first = min(t.blew_up_at for t in ensemble.trajectories)
+        raise NonfiniteStateError(
+            f"all {n_blown} paths blew up (the first at t={first:.6g})", time=first)
+    return trajs, n_blown
 
 
 def moment_report(ensemble, p, alpha, model=None, basis=None):
@@ -155,17 +165,19 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     errs = {n: [] for n in levels[:-1]}
     for lo in range(0, M, sv.BLOCK):
         hi = min(lo + sv.BLOCK, M)
-        inc = sn.sample_block(m_fine, steps, dt, seed, range(lo, hi))
+        runs = {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
+                                  hi - lo, steps, dt, stepper, save_every)
+                for n in levels}
+        for chunk in sn.stream_block(m_fine, steps, dt, seed, range(lo, hi)):
+            for n in levels:
+                sv._advance_block(model, bases[n], runs[n], chunk)
         saved = {}
         for n in levels:
-            b = bases[n]
-            c0 = np.repeat(sv.project_initial(b, x0)[None, :], hi - lo, axis=0)
-            states, blow = sv._advance_block(
-                model, b, c0, inc, dt, stepper, save_every)
+            blow = runs[n].blow_t
             if np.any(np.isfinite(blow)):
                 raise NonfiniteStateError("blow-up in convergence study",
                                           time=float(np.nanmin(blow)))
-            saved[n] = states
+            saved[n] = runs[n].saved
         for a, bn in zip(levels[:-1], levels[1:]):
             diff = saved[bn].copy()
             diff[:, :, :a] -= saved[a]
@@ -192,13 +204,15 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
     sups = {e: [] for e in perturbation_sizes}
     for lo in range(0, M, sv.BLOCK):
         hi = min(lo + sv.BLOCK, M)
-        inc = sn.sample_block(m, steps, dt, seed, range(lo, hi))
-        c0 = np.repeat(x0[None, :], hi - lo, axis=0)
-        base, _ = sv._advance_block(model, basis, c0, inc, dt, stepper, save_every)
-        for e in perturbation_sizes:
-            c0e = np.repeat((x0 + e * d)[None, :], hi - lo, axis=0)
-            pert, _ = sv._advance_block(model, basis, c0e, inc, dt, stepper, save_every)
-            diff = pert - base
+        starts = [x0] + [x0 + e * d for e in perturbation_sizes]
+        runs = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every)
+                for c0 in starts]
+        for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
+            for run in runs:
+                sv._advance_block(model, basis, run, chunk)
+        base = runs[0].saved
+        for e, run in zip(perturbation_sizes, runs[1:]):
+            diff = run.saved - base
             sup = np.max(np.linalg.norm(diff, axis=-1), axis=1)
             sups[e].extend(sup ** p)
 
@@ -218,6 +232,8 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     mode "identical": same stepper, same dt, twice (difference must be 0).
     Rows keyed by dt estimate E sup_t ||difference||_H^2.
     """
+    if mode not in PROBE_MODES:
+        raise InvalidDeltaError(f"unknown probe mode {mode!r}")
     stepper = stepper or model.default_stepper
     dts = sorted(dt_levels, reverse=True)
     for d in dts:
@@ -228,31 +244,38 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     m = model.noise_modes(basis)
     x0 = sv.project_initial(basis, x0)
 
+    # the two runs compared at each dt level: (step, coarsening factor of
+    # the fine path, stepper, save_every)
+    pairs = {}
+    for d in dts:
+        f1 = sv._ratio_as_int(d, fine_dt, "dt_level/fine_dt")
+        se1 = sv._ratio_as_int(save_dt, d, "save_dt/dt_level")
+        first = (d, f1, "explicit-tamed" if mode == "stepper" else stepper, se1)
+        if mode == "dt-refinement":
+            f2 = sv._ratio_as_int(d / 2.0, fine_dt, "dt_level/2/fine_dt")
+            second = (d / 2.0, f2, stepper, 2 * se1)
+        elif mode == "stepper":
+            second = (d, f1, "semi-implicit", se1)
+        else:
+            second = first
+        pairs[d] = (first, second)
+    factors = {spec[1] for pair in pairs.values() for spec in pair}
+
     sups = {d: [] for d in dts}
     for lo in range(0, M, sv.BLOCK):
         hi = min(lo + sv.BLOCK, M)
-        inc_fine = sn.sample_block(m, steps_fine, fine_dt, seed, range(lo, hi))
-        c0 = np.repeat(x0[None, :], hi - lo, axis=0)
+        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st, se)
+                    for h, f, st, se in pair]
+                for d, pair in pairs.items()}
+        # chunks hold whole coarse steps of every level
+        for chunk in sn.stream_block(m, steps_fine, fine_dt, seed, range(lo, hi),
+                                     multiple=math.lcm(*factors)):
+            coarse = sn.coarsen_chunk(chunk, factors)
+            for d, pair in pairs.items():
+                for run, spec in zip(runs[d], pair):
+                    sv._advance_block(model, basis, run, coarse[spec[1]])
         for d in dts:
-            f1 = int(round(d / fine_dt))
-            inc1 = inc_fine.reshape(hi - lo, steps_fine // f1, f1, m).sum(axis=2)
-            save_every1 = sv._ratio_as_int(save_dt, d, "save_dt/dt_level")
-            if mode == "dt-refinement":
-                f2 = f1 // 2
-                inc2 = inc_fine.reshape(hi - lo, steps_fine // f2, f2, m).sum(axis=2)
-                s1, _ = sv._advance_block(model, basis, c0, inc1, d, stepper, save_every1)
-                s2, _ = sv._advance_block(model, basis, c0, inc2, d / 2.0,
-                                          stepper, 2 * save_every1)
-            elif mode == "stepper":
-                s1, _ = sv._advance_block(model, basis, c0, inc1, d,
-                                          "explicit-tamed", save_every1)
-                s2, _ = sv._advance_block(model, basis, c0, inc1, d,
-                                          "semi-implicit", save_every1)
-            elif mode == "identical":
-                s1, _ = sv._advance_block(model, basis, c0, inc1, d, stepper, save_every1)
-                s2, _ = sv._advance_block(model, basis, c0, inc1, d, stepper, save_every1)
-            else:
-                raise InvalidDeltaError(f"unknown probe mode {mode!r}")
+            s1, s2 = (run.saved for run in runs[d])
             diff = s1 - s2
             sup = np.max(np.sum(diff * diff, axis=-1), axis=1)
             sups[d].extend(sup)

@@ -6,15 +6,21 @@ update at norm 1 and keeps moments of superlinear models bounded), and
 a semi-implicit scheme that treats the model's diagonal linear part
 implicitly (unconditionally stable for spectra up to k^4).
 
-The core loop is batched over paths: a whole ensemble advances as one
-(M, n) array per step.  Ensembles are processed in fixed-size blocks so
-memory stays bounded and the arithmetic per path never depends on the
-number of worker threads.
+The core loop is batched over paths: a block of up to BLOCK paths
+advances as one (M, n) array per step.  A block's noise arrives as
+time-major chunks (k, M, m) from noise.stream_block, and one resumable
+step function, `_advance_block`, carries the block's state (a BlockRun)
+from chunk to chunk, so memory holds one chunk rather than the block's
+whole noise.  Chunks fed in order give the same bits as a single chunk
+holding every step.  The fixed BLOCK keeps a path's arithmetic
+independent of the number of worker threads; it does not make it
+independent of the path's position in its block (outside elementwise
+models such as heat-ou, the batched transforms can round differently).
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,41 +146,67 @@ def fit_noise_columns(increments, needed):
     return np.concatenate([increments, pad], axis=-1)
 
 
-def _advance_block(model, basis, c, increments, dt, stepper, save_every, t0=0.0):
-    """Advance a (M, n) block through increments (M, steps, m); returns
-    saved states (M, S+1, n) and per-path blow-up times (nan = fine)."""
-    increments = fit_noise_columns(increments, model.noise_modes(basis))
-    M, steps, _ = increments.shape
-    n_saves = steps // save_every
-    out = np.empty((M, n_saves + 1, c.shape[-1]))
-    out[:, 0] = c
-    blow_t = np.full(M, np.nan)
-    alive = np.ones(M, bool)
-    implicit = stepper == "semi-implicit"
-    if implicit:
+@dataclass
+class BlockRun:
+    """A block of paths part-way through its integration: what
+    `_advance_block` carries from one chunk of increments to the next."""
+
+    c: np.ndarray              # (M, n) current coefficients
+    saved: np.ndarray          # (M, S+1, n) save-grid states, NaN past blow-up
+    blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
+    alive: np.ndarray          # (M,) bool
+    dt: float
+    save_every: int
+    L: np.ndarray = None       # diagonal linear part when semi-implicit
+    step: int = 0              # global index of the next step
+
+    def retire_nonfinite(self, c, t):
+        """Per-row blow-up bookkeeping, run only when a step left a
+        non-finite entry: stamp rows that just blew up with time t and
+        zero every dead row."""
+        newly = self.alive & ~np.all(np.isfinite(c), axis=-1)
+        self.blow_t[newly] = t
+        self.alive &= ~newly
+        return np.where(self.alive[:, None], c, 0.0)
+
+
+def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every):
+    """A BlockRun of M copies of the coefficient vector x0 at t = 0, with
+    room for the saves of n_steps steps."""
+    L = None
+    if stepper == "semi-implicit":
         L = model.linear_diagonal(basis)
         if L is None:
             raise UnsupportedModelNormError(
                 f"{model.name} declares no diagonal linear part")
-    t = t0
-    for j in range(steps):
+    c = np.repeat(np.asarray(x0, float)[None, :], M, axis=0)
+    saved = np.empty((M, n_steps // save_every + 1, c.shape[-1]))
+    saved[:, 0] = c
+    return BlockRun(c=c, saved=saved, blow_t=np.full(M, np.nan),
+                    alive=np.ones(M, bool), dt=dt, save_every=save_every, L=L)
+
+
+def _advance_block(model, basis, run, increments):
+    """Advance `run` in place through one time-major chunk of increments
+    (k, M, m).  Rows that turn non-finite get their blow-up time and are
+    NaN on the save grid from then on."""
+    increments = fit_noise_columns(increments, model.noise_modes(basis))
+    c, L, dt, save_every = run.c, run.L, run.dt, run.save_every
+    for j, dw in enumerate(increments, start=run.step):
+        t = j * dt
         a = model.apply_A(basis, t, c)
-        binc = model.apply_B_increment(basis, t, c, increments[:, j])
-        if implicit:
+        binc = model.apply_B_increment(basis, t, c, dw)
+        if L is not None:
             c = (c + dt * (a - L * c) + binc) / (1.0 - dt * L)
         else:
             tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
             c = c + dt * a / tame + binc
-        t = t0 + (j + 1) * dt
-        bad = ~np.all(np.isfinite(c), axis=-1)
-        newly = bad & alive
-        if np.any(newly):
-            blow_t[newly] = t
-            alive &= ~newly
-            c = np.where(alive[:, None], c, 0.0)   # freeze dead rows
+        if not np.isfinite(c).all():
+            c = run.retire_nonfinite(c, (j + 1) * dt)
         if (j + 1) % save_every == 0:
-            out[:, (j + 1) // save_every] = np.where(alive[:, None], c, np.nan)
-    return out, blow_t
+            run.saved[:, (j + 1) // save_every] = np.where(run.alive[:, None], c, np.nan)
+    run.c = c
+    run.step += len(increments)
 
 
 def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=None):
@@ -202,16 +234,15 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     if noise_path.m_modes < m_need:
         raise ConfigError(
             f"noise path carries {noise_path.m_modes} modes, model uses {m_need}")
-    c0 = project_initial(basis, x0)
-    states, blow_t = _advance_block(
-        model, basis, c0[None, :], noise_path.increments[None, :steps, :],
-        dt, stepper, save_every)
-    if np.isfinite(blow_t[0]):
+    run = start_block(model, basis, project_initial(basis, x0), 1, steps, dt,
+                      stepper, save_every)
+    _advance_block(model, basis, run, noise_path.increments[:steps, None, :])
+    if np.isfinite(run.blow_t[0]):
         raise NonfiniteStateError(
-            f"path {noise_path.path_id} blew up at t={blow_t[0]:.6g}",
-            time=float(blow_t[0]), path_id=noise_path.path_id)
+            f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
+            time=float(run.blow_t[0]), path_id=noise_path.path_id)
     times = save_dt * np.arange(n_saves + 1)
-    return Trajectory(times=times, states=states[0], model_name=model.name,
+    return Trajectory(times=times, states=run.saved[0], model_name=model.name,
                       n_modes=basis.n_modes, stepper=stepper, save_dt=save_dt,
                       seed=noise_path.seed, path_id=noise_path.path_id,
                       m_modes=noise_path.m_modes)
@@ -232,10 +263,14 @@ def project_initial(basis, x0):
 
 def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                    save_dt=None, m_modes=None, on_blowup="raise", threads=None):
-    """M independent paths, path_id = 0..M-1, reproducible and
-    order-independent.  on_blowup: "raise" propagates the first non-finite
-    path (with its path_id); "discard" records the blow-up time and keeps
-    going, leaving NaNs past the blow-up."""
+    """M independent paths, path_id = 0..M-1, reproducible for a fixed M.
+
+    Paths run in blocks of BLOCK; each block streams its noise in
+    time-major chunks (noise.stream_block) through `_advance_block`, so
+    no block's whole noise is held at once.  on_blowup: "raise"
+    propagates the first non-finite path (with its path_id); "discard"
+    records the blow-up time and keeps going, leaving NaNs past the
+    blow-up."""
     if M < 1:
         raise ConfigError("M must be >= 1")
     stepper = stepper or model.default_stepper
@@ -253,11 +288,11 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
     all_blow = np.full(M, np.nan)
 
     def do_block(lo, hi):
-        inc = sn.sample_block(m, steps, dt, seed, range(lo, hi))
-        c = np.repeat(c0[None, :], hi - lo, axis=0)
-        states, blow_t = _advance_block(model, basis, c, inc, dt, stepper, save_every)
-        all_states[lo:hi] = states
-        all_blow[lo:hi] = blow_t
+        run = start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every)
+        for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
+            _advance_block(model, basis, run, chunk)
+        all_states[lo:hi] = run.saved
+        all_blow[lo:hi] = run.blow_t
 
     spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
     nw = worker_count(threads)

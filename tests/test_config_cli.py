@@ -247,3 +247,66 @@ def test_config_accepts_numeric_x0_list(tmp_path):
     cfg = load_config(path)
     assert np.array_equal(initial_coefficients(cfg.experiment["x0"], 4),
                           [1.0, 0.5, 0.0, -2e-3])
+
+
+@pytest.mark.parametrize("section,key", [("basis", "n_modes"), ("basis", "grid_size"),
+                                         ("run", "paths"), ("run", "seed")])
+@pytest.mark.parametrize("value", ["abc", 16.7, True])
+def test_cli_rejects_non_integer_sizes(tmp_path, capsys, section, key, value):
+    doc = {"command": "check", "model": {"name": "heat-ou"},
+           "basis": {"n_modes": 4}, "experiment": {"n_samples": 64}}
+    doc.setdefault(section, {})[key] = value
+    path = write_cfg(tmp_path, doc)
+    code = cli.main(["check", "--config", path, "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, f"{section}.{key} must be an integer")
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_seed_zero_and_integral_floats(tmp_path):
+    path = write_cfg(tmp_path, {"command": "check", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4.0, "grid_size": 64.0},
+                                "run": {"paths": 10.0, "seed": 0}})
+    cfg = load_config(path)
+    assert (cfg.basis["n_modes"], cfg.basis["grid_size"]) == (4, 64)
+    assert (cfg.run["paths"], cfg.run["seed"]) == (10, 0)
+    assert all(isinstance(v, int) for v in (cfg.basis["n_modes"], cfg.run["seed"]))
+    with pytest.raises(ConfigError, match="run.seed must be an integer >= 0"):
+        load_config(None, flags={"command": "check", "model": "heat-ou", "seed": -1})
+
+
+def test_cli_rejects_unknown_probe_mode(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"command": "uniqueness", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4},
+                                "run": {"t_end": 0.08, "dt": 1e-3, "paths": 4},
+                                "experiment": {"mode": "dt-refinment"}})
+    code = cli.main(["uniqueness", "--config", path, "--out", str(tmp_path / "u")])
+    assert_usage_error(capsys, code, "experiment.mode must be one of")
+    assert not (tmp_path / "u").exists()
+
+
+@pytest.mark.parametrize("levels", [[8], [], [8, 8], [0, 8], [4, 8.5], ["8", 16],
+                                    [True, 8], 8, None])
+def test_cli_rejects_bad_levels(tmp_path, capsys, levels):
+    path = write_cfg(tmp_path, {"command": "converge", "model": {"name": "heat-ou"},
+                                "run": {"t_end": 0.01, "dt": 1e-3, "paths": 4},
+                                "experiment": {"levels": levels}})
+    code = cli.main(["converge", "--config", path, "--out", str(tmp_path / "v")])
+    assert_usage_error(capsys, code, "experiment.levels")
+    assert not (tmp_path / "v").exists()
+
+
+def test_config_normalises_levels(tmp_path):
+    path = write_cfg(tmp_path, {"command": "converge", "model": {"name": "heat-ou"},
+                                "experiment": {"levels": [16.0, 4, 8]}})
+    assert load_config(path).experiment["levels"] == [16, 4, 8]
+
+
+def test_cli_all_blown_ensemble_exits_blowup(tmp_path, capsys):
+    # at nu = 30 and dt = 1e-2 every one of these paths overflows before t_end
+    code = cli.main(["equicontinuity", "--model", "gradient-noise-heat", "--nu", "30",
+                     "--n-modes", "8", "--paths", "20", "--dt", "1e-2",
+                     "--t-end", "5.12", "--save-dt", "1e-2", "--seed", "2",
+                     "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BLOWUP
+    assert "all 20 paths blew up" in err and "Traceback" not in err

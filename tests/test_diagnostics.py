@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spde import diagnostics as dg
 from spde import models as sm
 from spde import solver as sv
-from spde.errors import InadmissiblePError, InvalidDeltaError
+from spde.errors import (ConfigError, InadmissiblePError, InvalidDeltaError,
+                         NonfiniteStateError)
 
 
 def unit(n, k=0):
@@ -207,3 +210,49 @@ def test_write_table(tmp_path):
     payload = json.loads(js.read_text())
     assert payload["experiment"] == "moments"
     assert "timestamp" in payload
+
+
+def all_blown_ensemble(M=3):
+    m, b, ens = heat_ensemble(M=M, t_end=0.1)
+    for i, t in enumerate(ens.trajectories):
+        t.blew_up_at = 0.05 + 0.01 * i
+        t.states[5:] = np.nan
+    return ens
+
+
+def test_all_blown_ensemble_raises_with_count():
+    ens = all_blown_ensemble()
+    with pytest.raises(NonfiniteStateError, match="all 3 paths blew up") as ei:
+        dg.moment_report(ens, p=2, alpha=2)
+    assert ei.value.time == 0.05
+    with pytest.raises(NonfiniteStateError, match="all 3 paths blew up"):
+        dg.equicontinuity_statistic(ens, [0.02], alpha=2)
+
+
+def test_galerkin_convergence_streams_noise():
+    # the (paths, steps, modes) block would be 64 * 2000 * 32 float64s;
+    # streamed chunks hold at most noise.CHUNK_NORMALS each
+    m = sm.PLaplacian(4.0, 1.0, 0.4)
+    M, steps, modes = 64, 2000, 32
+    x0 = 0.5 / (1.0 + np.arange(32)) ** 2
+    tracemalloc.start()
+    try:
+        tab = dg.galerkin_convergence(m, x0, [16, 32], M=M, seed=1, t_end=0.2,
+                                      dt=1e-4, save_dt=2e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tab.rows) == 1 and tab.rows[0][3] == M
+    assert peak < 0.5 * M * steps * modes * 8
+
+
+def test_uniqueness_probe_rejects_bad_mode_and_levels():
+    m = sm.HeatOU(0.5)
+    b = m.make_basis(4)
+    with pytest.raises(InvalidDeltaError, match="unknown probe mode"):
+        dg.uniqueness_probe(m, b, unit(4), M=2, seed=0, dt_levels=[0.02, 0.01],
+                            t_end=0.04, mode="dt-refinment")
+    # dt-refinement halves 0.03, and 0.015 is no multiple of the fine step 0.01
+    with pytest.raises(ConfigError, match="dt_level"):
+        dg.uniqueness_probe(m, b, unit(4), M=2, seed=0, dt_levels=[0.03, 0.02],
+                            t_end=0.06)

@@ -23,10 +23,57 @@ def test_distinct_paths_differ():
 
 
 def test_sample_block_matches_individual_paths():
-    block = sn.sample_block(3, 50, 1e-2, seed=5, path_ids=range(4))
+    gens = [sn.path_generator(5, pid) for pid in range(4)]
+    block = np.concatenate([sn.sample_block(gens, k, 3, 1e-2) for k in (20, 30)])
+    assert block.shape == (50, 4, 3)
     for pid in range(4):
         single = sn.sample_path(3, 50, 1e-2, seed=5, path_id=pid)
-        assert np.array_equal(block[pid], single.increments)
+        assert np.array_equal(block[:, pid], single.increments)
+
+
+@pytest.mark.parametrize("paths,m,steps,budget", [
+    (4, 3, 50, 36),       # 3-step chunks: 50 is not a multiple
+    (5, 2, 37, 7),        # below one step per chunk: k = 1
+    (3, 1, 64, 10 ** 6),  # one chunk for the whole path
+])
+def test_stream_block_matches_sample_path(monkeypatch, paths, m, steps, budget):
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", budget)
+    k = sn.chunk_steps(paths, m)
+    chunks = list(sn.stream_block(m, steps, 1e-3, 11, range(2, 2 + paths)))
+    assert [c.shape[0] for c in chunks[:-1]] == [k] * (len(chunks) - 1)
+    assert all(c.shape[1:] == (paths, m) and c.size <= max(budget, paths * m)
+               for c in chunks)
+    streamed = np.concatenate(chunks)
+    for i in range(paths):
+        ref = sn.sample_path(m, steps, 1e-3, seed=11, path_id=2 + i).increments
+        assert np.array_equal(streamed[:, i], ref)
+
+
+def test_chunk_steps_respects_budget_and_multiple():
+    assert sn.chunk_steps(256, 32) * 256 * 32 == sn.CHUNK_NORMALS
+    assert sn.chunk_steps(256, 8, multiple=16) == 256
+    assert sn.chunk_steps(256, 8, multiple=12) % 12 == 0
+    assert sn.chunk_steps(256, 8, multiple=12) * 256 * 8 <= sn.CHUNK_NORMALS
+    assert sn.chunk_steps(10 ** 6, 1) == 1
+    assert sn.chunk_steps(10 ** 6, 1, multiple=8) == 8
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_coarsen_chunk_matches_coarsen(monkeypatch, m):
+    # m = 1 with factors >= 8 is where NumPy's summation order depends on
+    # the layout: coarsen_chunk must reproduce coarsen bit for bit
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 5 * m * 48)
+    factors = {1, 2, 3, 16}
+    steps, paths = 240, 5
+    coarse = {f: [] for f in factors}
+    for chunk in sn.stream_block(m, steps, 1e-3, 4, range(paths), multiple=48):
+        for f, c in sn.coarsen_chunk(chunk, factors).items():
+            coarse[f].append(c)
+    for f in factors:
+        got = np.concatenate(coarse[f])
+        for pid in range(paths):
+            ref = sn.coarsen(sn.sample_path(m, steps, 1e-3, 4, pid), f).increments
+            assert np.array_equal(got[:, pid], ref)
 
 
 def test_increment_mean_clt_bound():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,97 @@ def test_trajectory_csv_rows():
     assert rows[0] == ["t", "c_1", "c_2", "c_3", "h_norm", "v_norm"]
     assert len(rows) == 4      # header + 3 save times
     assert float(rows[1][1]) == 1.0
+
+
+def chunked_run(model, basis, x0, inc, dt, stepper, save_every, lengths):
+    """Advance one block through `inc` (steps, M, m) cut into chunks of the
+    given lengths (cycled); returns the finished BlockRun."""
+    steps, M, _ = inc.shape
+    run = sv.start_block(model, basis, x0, M, steps, dt, stepper, save_every)
+    lo, i = 0, 0
+    while lo < steps:
+        k = lengths[i % len(lengths)]
+        sv._advance_block(model, basis, run, inc[lo:lo + k])
+        lo, i = lo + k, i + 1
+    return run
+
+
+def supported_steppers(name):
+    m = sm.build_model(name)
+    implicit = m.linear_diagonal(m.make_basis(4)) is not None
+    return [st for st in sv.STEPPERS if implicit or st == "explicit-tamed"]
+
+
+ZOO_STEPPERS = [(name, st) for name in sm.ZOO for st in supported_steppers(name)]
+
+
+@pytest.mark.parametrize("name,stepper", ZOO_STEPPERS)
+def test_chunked_advance_equals_one_chunk(name, stepper):
+    m = sm.build_model(name)
+    b = m.make_basis(8)
+    steps, M, dt = 60, 7, 1e-3
+    gens = [sn.path_generator(3, pid) for pid in range(M)]
+    inc = sn.sample_block(gens, steps, m.noise_modes(b), dt)
+    x0 = 0.5 / (1.0 + np.arange(8)) ** 2
+    whole = chunked_run(m, b, x0, inc, dt, stepper, 4, [steps])
+    for lengths in ([1], [7], [13, 2, 5]):
+        part = chunked_run(m, b, x0, inc, dt, stepper, 4, lengths)
+        assert part.step == steps
+        assert np.array_equal(part.saved, whole.saved)
+        assert np.array_equal(part.c, whole.c)
+        assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_chunked_advance_partial_blowup():
+    # gradient noise at nu = 30 with dt = 1e-2 overflows some paths and
+    # not others; blow-up times and the NaN tails must not see the chunking
+    m = sm.GradientNoiseHeat(nu=30.0)
+    b = m.make_basis(8)
+    steps, M, dt = 350, 40, 1e-2
+    inc = sn.sample_block([sn.path_generator(2, pid) for pid in range(M)],
+                          steps, 1, dt)
+    whole = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, [steps])
+    blown = np.isfinite(whole.blow_t)
+    assert 0 < blown.sum() < M
+    for lengths in ([1], [64], [33, 90]):
+        part = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, lengths)
+        assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
+        assert np.array_equal(part.saved, whole.saved, equal_nan=True)
+        assert np.array_equal(part.alive, ~blown)
+    # a dead row is NaN on the save grid from its blow-up time on
+    i = int(np.flatnonzero(blown)[0])
+    k = int(round(whole.blow_t[i] / dt))
+    assert np.all(np.isnan(whole.saved[i, k:]))
+    assert np.all(np.isfinite(whole.saved[i, :k]))
+
+
+def test_finiteness_guard_adds_no_warning():
+    m = sm.PLaplacian(4, 1.0, 0.4)
+    b = m.make_basis(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = sv.solve_ensemble(m, b, unit(8), M=20, seed=1, t_end=0.05,
+                                dt=1e-3, save_dt=0.01)
+    assert ens.blown_count() == 0
+
+
+def test_ensemble_streams_in_bounded_chunks(monkeypatch):
+    # every chunk a block draws stays within the normal budget, and the
+    # chunking leaves the ensemble's bits alone
+    m = sm.ConvectionDiffusion(0.5)
+    b = m.make_basis(8)
+    kw = dict(t_end=0.1, dt=1e-3, save_dt=0.01)
+    ref = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).stacked()
+    shapes = []
+    draw = sn.sample_block
+
+    def spy(*args):
+        out = draw(*args)
+        shapes.append(out.shape)
+        return out
+    monkeypatch.setattr(sn, "sample_block", spy)
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 8 * 256 * 30)
+    got = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).stacked()
+    assert np.array_equal(got, ref)
+    assert sorted(set(shapes)) == [(10, 256, 8), (30, 256, 8), (100, 44, 8)]
