@@ -171,16 +171,14 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
         for chunk in sn.stream_block(m_fine, steps, dt, seed, range(lo, hi)):
             for n in levels:
                 sv._advance_block(model, bases[n], runs[n], chunk)
-        saved = {}
         for n in levels:
             blow = runs[n].blow_t
             if np.any(np.isfinite(blow)):
                 raise NonfiniteStateError("blow-up in convergence study",
                                           time=float(np.nanmin(blow)))
-            saved[n] = runs[n].saved
         for a, bn in zip(levels[:-1], levels[1:]):
-            diff = saved[bn].copy()
-            diff[:, :, :a] -= saved[a]
+            diff = runs[bn].saved.copy()
+            diff[:, :, :a] -= runs[a].saved
             vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)
             errs[a].extend(np.trapezoid(vals, dx=save_dt, axis=1))
 
@@ -259,7 +257,7 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
         else:
             second = first
         pairs[d] = (first, second)
-    factors = {spec[1] for pair in pairs.values() for spec in pair}
+    factors = {f for pair in pairs.values() for _, f, _, _ in pair}
 
     sups = {d: [] for d in dts}
     for lo in range(0, M, sv.BLOCK):
@@ -272,8 +270,8 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
                                      multiple=math.lcm(*factors)):
             coarse = sn.coarsen_chunk(chunk, factors)
             for d, pair in pairs.items():
-                for run, spec in zip(runs[d], pair):
-                    sv._advance_block(model, basis, run, coarse[spec[1]])
+                for run, (_, f, _, _) in zip(runs[d], pair):
+                    sv._advance_block(model, basis, run, coarse[f])
         for d in dts:
             s1, s2 = (run.saved for run in runs[d])
             diff = s1 - s2
