@@ -78,6 +78,12 @@ def _mean_se(values):
     return est, se, m
 
 
+def _row_max(vals):
+    """Per-path max of (M, rows) values; -inf when a chunk saved no row.
+    NaN (a blown path) propagates, as np.max over the whole grid would."""
+    return np.max(vals, axis=1, initial=-np.inf)
+
+
 def _alive(ensemble):
     """Surviving trajectories and the blown count; an ensemble in which
     every path blew up has nothing to estimate from."""
@@ -202,17 +208,21 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
     sups = {e: [] for e in perturbation_sizes}
     for lo in range(0, M, sv.BLOCK):
         hi = min(lo + sv.BLOCK, M)
-        starts = [x0] + [x0 + e * d for e in perturbation_sizes]
-        runs = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every)
-                for c0 in starts]
+        base, *perts = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper,
+                                       save_every, window=True)
+                        for c0 in [x0] + [x0 + e * d for e in perturbation_sizes]]
+        # running sup over the save rows of each chunk: only (M,) maxima
+        # outlive a chunk
+        tops = np.full((len(perts), hi - lo), -np.inf)
         for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
-            for run in runs:
+            sv._advance_block(model, basis, base, chunk)
+            base_rows = base.pop_saves()
+            for top, run in zip(tops, perts):
                 sv._advance_block(model, basis, run, chunk)
-        base = runs[0].saved
-        for e, run in zip(perturbation_sizes, runs[1:]):
-            diff = run.saved - base
-            sup = np.max(np.linalg.norm(diff, axis=-1), axis=1)
-            sups[e].extend(sup ** p)
+                diff = run.pop_saves() - base_rows
+                np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
+        for e, top in zip(perturbation_sizes, tops):
+            sups[e].extend(top ** p)
 
     rows = [(float(e), *_mean_se(sups[e])) for e in perturbation_sizes]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
@@ -262,9 +272,11 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     sups = {d: [] for d in dts}
     for lo in range(0, M, sv.BLOCK):
         hi = min(lo + sv.BLOCK, M)
-        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st, se)
+        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st, se,
+                                   window=True)
                     for h, f, st, se in pair]
                 for d, pair in pairs.items()}
+        tops = {d: np.full(hi - lo, -np.inf) for d in dts}
         # chunks hold whole coarse steps of every level
         for chunk in sn.stream_block(m, steps_fine, fine_dt, seed, range(lo, hi),
                                      multiple=math.lcm(*factors)):
@@ -272,11 +284,10 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
             for d, pair in pairs.items():
                 for run, (_, f, _, _) in zip(runs[d], pair):
                     sv._advance_block(model, basis, run, coarse[f])
+                diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
+                np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
         for d in dts:
-            s1, s2 = (run.saved for run in runs[d])
-            diff = s1 - s2
-            sup = np.max(np.sum(diff * diff, axis=-1), axis=1)
-            sups[d].extend(sup)
+            sups[d].extend(tops[d])
 
     rows = [(float(d), *_mean_se(sups[d])) for d in dts]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])

@@ -11,8 +11,10 @@ advances as one (M, n) array per step.  A block's noise arrives as
 time-major chunks (k, M, m) from noise.stream_block, and one resumable
 step function, `_advance_block`, carries the block's state (a BlockRun)
 from chunk to chunk, so memory holds one chunk rather than the block's
-whole noise.  Chunks fed in order give the same bits as a single chunk
-holding every step.  The fixed BLOCK keeps a path's arithmetic
+whole noise.  A run keeps its whole save grid, or, windowed, only the
+save rows of its latest chunk, for consumers that fold the rows into a
+running statistic as they go.  Chunks fed in order give the same bits as
+a single chunk holding every step.  The fixed BLOCK keeps a path's arithmetic
 independent of the number of worker threads; it does not make it
 independent of the path's position in its block (outside elementwise
 models such as heat-ou, the batched transforms can round differently).
@@ -152,13 +154,31 @@ class BlockRun:
     `_advance_block` carries from one chunk of increments to the next."""
 
     c: np.ndarray              # (M, n) current coefficients
-    saved: np.ndarray          # (M, S+1, n) save-grid states, NaN past blow-up
+    saved: np.ndarray          # (M, rows, n) save-grid states, NaN past blow-up
     blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
     alive: np.ndarray          # (M,) bool
     dt: float
     save_every: int
     L: np.ndarray = None       # diagonal linear part when semi-implicit
     step: int = 0              # global index of the next step
+    window: bool = False       # saved holds only the latest chunk's rows
+    row0: int = 0              # save-grid index of saved[:, 0]
+
+    def open_window(self, k):
+        """Make room for the save rows of the next k steps alone; the
+        first window also holds the initial row."""
+        self.row0 = 0 if self.step == 0 else self.step // self.save_every + 1
+        last = (self.step + k) // self.save_every
+        self.saved = None
+        self.saved = np.empty((len(self.c), last - self.row0 + 1, self.c.shape[-1]))
+        if self.step == 0:
+            self.saved[:, 0] = self.c
+
+    def pop_saves(self):
+        """The save rows of a windowed run's latest chunk, released from
+        the run so that no more than one chunk's rows outlive it."""
+        rows, self.saved = self.saved, None
+        return rows
 
     def retire_nonfinite(self, c, t):
         """Per-row blow-up bookkeeping, run only when a step left a
@@ -170,9 +190,11 @@ class BlockRun:
         return np.where(self.alive[:, None], c, 0.0)
 
 
-def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every):
+def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
+                window=False):
     """A BlockRun of M copies of the coefficient vector x0 at t = 0, with
-    room for the saves of n_steps steps."""
+    room for the saves of n_steps steps, or with window=True for the save
+    rows of one chunk at a time (see BlockRun.pop_saves)."""
     L = None
     if stepper == "semi-implicit":
         L = model.linear_diagonal(basis)
@@ -180,10 +202,13 @@ def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every):
             raise UnsupportedModelNormError(
                 f"{model.name} declares no diagonal linear part")
     c = np.repeat(np.asarray(x0, float)[None, :], M, axis=0)
-    saved = np.empty((M, n_steps // save_every + 1, c.shape[-1]))
-    saved[:, 0] = c
+    saved = None
+    if not window:
+        saved = np.empty((M, n_steps // save_every + 1, c.shape[-1]))
+        saved[:, 0] = c
     return BlockRun(c=c, saved=saved, blow_t=np.full(M, np.nan),
-                    alive=np.ones(M, bool), dt=dt, save_every=save_every, L=L)
+                    alive=np.ones(M, bool), dt=dt, save_every=save_every, L=L,
+                    window=window)
 
 
 def _advance_block(model, basis, run, increments):
@@ -191,6 +216,8 @@ def _advance_block(model, basis, run, increments):
     (k, M, m).  Rows that turn non-finite get their blow-up time and are
     NaN on the save grid from then on."""
     increments = fit_noise_columns(increments, model.noise_modes(basis))
+    if run.window:
+        run.open_window(len(increments))
     c, L, dt, save_every = run.c, run.L, run.dt, run.save_every
     for j, dw in enumerate(increments, start=run.step):
         t = j * dt
@@ -204,7 +231,8 @@ def _advance_block(model, basis, run, increments):
         if not np.isfinite(c).all():
             c = run.retire_nonfinite(c, (j + 1) * dt)
         if (j + 1) % save_every == 0:
-            run.saved[:, (j + 1) // save_every] = np.where(run.alive[:, None], c, np.nan)
+            run.saved[:, (j + 1) // save_every - run.row0] = \
+                np.where(run.alive[:, None], c, np.nan)
     run.c = c
     run.step += len(increments)
 

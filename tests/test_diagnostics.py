@@ -246,6 +246,26 @@ def test_galerkin_convergence_streams_noise():
     assert peak < 0.5 * M * steps * modes * 8
 
 
+def test_initial_data_continuity_keeps_running_maxima():
+    # six runs (base and five perturbations) of 128 paths * 3001 saves * 8
+    # modes: each run's whole save grid is 24.6 MB.  Only the latest
+    # chunk's save rows and per-path maxima are held, so the peak stays
+    # below one such grid.
+    m = sm.HeatOU(0.5)
+    b = m.make_basis(8)
+    M, steps, n = 128, 3000, 8
+    tracemalloc.start()
+    try:
+        tab = dg.initial_data_continuity(m, b, unit(8), unit(8),
+                                         [0.1 / 2 ** j for j in range(5)], 2.0,
+                                         M=M, seed=1, t_end=steps * 1e-3, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r[3] for r in tab.rows] == [M] * 5
+    assert peak < M * (steps + 1) * n * 8
+
+
 def test_uniqueness_probe_rejects_bad_mode_and_levels():
     m = sm.HeatOU(0.5)
     b = m.make_basis(4)

@@ -286,6 +286,21 @@ def chunked_run(model, basis, x0, inc, dt, stepper, save_every, lengths):
     return run
 
 
+def windowed_rows(model, basis, x0, inc, dt, stepper, save_every, lengths):
+    """The save rows a windowed run pops chunk by chunk, concatenated."""
+    steps, M, _ = inc.shape
+    run = sv.start_block(model, basis, x0, M, steps, dt, stepper, save_every,
+                         window=True)
+    rows, lo, i = [], 0, 0
+    while lo < steps:
+        k = lengths[i % len(lengths)]
+        sv._advance_block(model, basis, run, inc[lo:lo + k])
+        rows.append(run.pop_saves())
+        lo, i = lo + k, i + 1
+    assert run.saved is None
+    return np.concatenate(rows, axis=1)
+
+
 def supported_steppers(name):
     m = sm.build_model(name)
     implicit = m.linear_diagonal(m.make_basis(4)) is not None
@@ -329,11 +344,29 @@ def test_chunked_advance_partial_blowup():
         assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
         assert np.array_equal(part.saved, whole.saved, equal_nan=True)
         assert np.array_equal(part.alive, ~blown)
+    rows = windowed_rows(m, b, unit(8), inc, dt, "semi-implicit", 1, [33, 90])
+    assert np.array_equal(rows, whole.saved, equal_nan=True)
     # a dead row is NaN on the save grid from its blow-up time on
     i = int(np.flatnonzero(blown)[0])
     k = int(round(whole.blow_t[i] / dt))
     assert np.all(np.isnan(whole.saved[i, k:]))
     assert np.all(np.isfinite(whole.saved[i, :k]))
+
+
+@pytest.mark.parametrize("lengths", [[60], [1], [3], [7], [13, 2, 5]])
+def test_windowed_saves_equal_full_grid(lengths):
+    # a windowed run holds only its latest chunk's save rows (chunks of 1
+    # or 3 steps with save_every = 4 often save none); popped in order,
+    # they are the full save grid bit for bit
+    m = sm.PLaplacian(4, 1.0, 0.4)
+    b = m.make_basis(8)
+    steps, M, dt = 60, 7, 1e-3
+    inc = sn.sample_block([sn.path_generator(3, pid) for pid in range(M)],
+                          steps, m.noise_modes(b), dt)
+    x0 = 0.5 / (1.0 + np.arange(8)) ** 2
+    whole = chunked_run(m, b, x0, inc, dt, "explicit-tamed", 4, [steps])
+    rows = windowed_rows(m, b, x0, inc, dt, "explicit-tamed", 4, lengths)
+    assert np.array_equal(rows, whole.saved)
 
 
 def test_finiteness_guard_adds_no_warning():
