@@ -169,7 +169,6 @@ class BlockRun:
         first window also holds the initial row."""
         self.row0 = 0 if self.step == 0 else self.step // self.save_every + 1
         last = (self.step + k) // self.save_every
-        self.saved = None
         self.saved = np.empty((len(self.c), last - self.row0 + 1, self.c.shape[-1]))
         if self.step == 0:
             self.saved[:, 0] = self.c

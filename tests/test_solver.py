@@ -325,6 +325,10 @@ def test_chunked_advance_equals_one_chunk(name, stepper):
         assert np.array_equal(part.saved, whole.saved)
         assert np.array_equal(part.c, whole.c)
         assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
+        # a windowed run pops the same rows chunk by chunk, none from a
+        # chunk of 1 step between saves
+        rows = windowed_rows(m, b, x0, inc, dt, stepper, 4, lengths)
+        assert np.array_equal(rows, whole.saved)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -351,22 +355,6 @@ def test_chunked_advance_partial_blowup():
     k = int(round(whole.blow_t[i] / dt))
     assert np.all(np.isnan(whole.saved[i, k:]))
     assert np.all(np.isfinite(whole.saved[i, :k]))
-
-
-@pytest.mark.parametrize("lengths", [[60], [1], [3], [7], [13, 2, 5]])
-def test_windowed_saves_equal_full_grid(lengths):
-    # a windowed run holds only its latest chunk's save rows (chunks of 1
-    # or 3 steps with save_every = 4 often save none); popped in order,
-    # they are the full save grid bit for bit
-    m = sm.PLaplacian(4, 1.0, 0.4)
-    b = m.make_basis(8)
-    steps, M, dt = 60, 7, 1e-3
-    inc = sn.sample_block([sn.path_generator(3, pid) for pid in range(M)],
-                          steps, m.noise_modes(b), dt)
-    x0 = 0.5 / (1.0 + np.arange(8)) ** 2
-    whole = chunked_run(m, b, x0, inc, dt, "explicit-tamed", 4, [steps])
-    rows = windowed_rows(m, b, x0, inc, dt, "explicit-tamed", 4, lengths)
-    assert np.array_equal(rows, whole.saved)
 
 
 def test_finiteness_guard_adds_no_warning():
