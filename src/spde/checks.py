@@ -18,6 +18,7 @@ from .errors import IncompleteSpecError, MissingHypothesisSpecError
 
 TOL = 1e-8
 MAX_STORED_VIOLATIONS = 16
+H1_GRID_VALUES = 2 ** 20    # collocation values per H1 block: 8 MiB per temporary
 
 
 @dataclass
@@ -106,6 +107,14 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     hold the same lambda values as separately built grids, so no point
     is evaluated twice.
 
+    Samples run in blocks of H1_GRID_VALUES // (fine grid * basis
+    grid_size) samples, at least one, so a block's collocation
+    temporaries hold about H1_GRID_VALUES values whatever n_modes is (67
+    samples at n = 16, 33 at n = 32).  Even a one-sample block is a
+    whole lambda line of at least 241 rows, where the batched transforms
+    round each row as in any larger block, so the report does not
+    depend on the block size.
+
     The test is the ratio of the largest adjacent jumps across the last
     4x refinement (4x grid to fine grid): a continuous map shrinks it by
     about the refinement factor once the grid resolves it, while a
@@ -136,7 +145,7 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     def max_jump(g):
         return np.max(np.abs(np.diff(g, axis=1)), axis=1)
 
-    block = 256      # bounds the (block * lambda-grid, grid_size) temporaries
+    block = max(1, H1_GRID_VALUES // (grid.size * basis.grid_size))
     j1 = np.empty(n_samples)
     j2 = np.empty(n_samples)
     gmax = np.empty(n_samples)

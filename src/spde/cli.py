@@ -20,6 +20,7 @@ import numpy as np
 
 from . import checks as ck
 from . import diagnostics as dg
+from . import noise as sn
 from . import solver as sv
 from .config import COMMANDS, initial_coefficients, load_config
 from .errors import ConfigError, InadmissiblePError, NonfiniteStateError, SpdeError
@@ -105,10 +106,9 @@ def run(cfg):
         return EXIT_OK if total == 0 else EXIT_VIOLATIONS
 
     if cfg.command == "simulate":
-        path = __import__("spde.noise", fromlist=["sample_path"]).sample_path(
-            model.noise_modes(basis),
-            int(round(run_sec["t_end"] / run_sec["dt"])),
-            run_sec["dt"], seed, 0)
+        path = sn.sample_path(model.noise_modes(basis),
+                              int(round(run_sec["t_end"] / run_sec["dt"])),
+                              run_sec["dt"], seed, 0)
         traj = sv.solve_path(model, basis, _x0(cfg, basis.n_modes), path,
                              stepper, run_sec["t_end"], run_sec["save_dt"])
         _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"),

@@ -158,9 +158,9 @@ def load_config(path=None, flags=None):
         command = flags["command"]
     if flags.get("model") is not None:
         model_sec["name"] = flags["model"]
-    for k in ("sigma", "nu", "p_exponent"):
+    for k in ("sigma", "nu"):
         if flags.get(k) is not None:
-            model_sec["p" if k == "p_exponent" else k] = flags[k]
+            model_sec[k] = flags[k]
     if flags.get("n_modes") is not None:
         basis_sec["n_modes"] = flags["n_modes"]
     if flags.get("grid_size") is not None:

@@ -124,7 +124,10 @@ def moment_report(ensemble, p, alpha, model=None, basis=None):
 
 
 def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None):
-    """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt."""
+    """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt.
+
+    A survivor whose integral is not finite at some delta (its states
+    near overflow) counts as blown and leaves every row."""
     trajs, n_blown = _alive(ensemble)
     save_dt = trajs[0].save_dt
     n_saves = trajs[0].times.size - 1
@@ -135,12 +138,19 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
             raise InvalidDeltaError(f"delta {d} is not a usable multiple of save_dt")
         shifts.append(k)
     states = np.stack([t.states for t in trajs])     # (M, S+1, n)
-    rows = []
-    for d, k in zip(delta_list, shifts):
-        diff = states[:, k:, :] - states[:, :-k or None, :]
-        vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)      # (M, S+1-k)
-        integ = np.trapezoid(vals, dx=save_dt, axis=1)
-        rows.append((float(d), *_mean_se(integ)))
+    integs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in shifts:
+            diff = states[:, k:, :] - states[:, :-k or None, :]
+            vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)      # (M, S+1-k)
+            integs.append(np.trapezoid(vals, dx=save_dt, axis=1))
+    finite = np.all(np.isfinite(integs), axis=0)
+    n_blown += int(np.count_nonzero(~finite))
+    if not finite.any():
+        raise NonfiniteStateError(
+            f"all {n_blown} paths blew up or overflowed the time-shift statistic")
+    rows = [(float(d), *_mean_se(integ[finite]))
+            for d, integ in zip(delta_list, integs)]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="equicontinuity", rows=rows, fitted_rate=fit,
                            extra={"alpha": alpha, "n_blown": n_blown})
@@ -177,6 +187,7 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
         for chunk in sn.stream_block(m_fine, steps, dt, seed, range(lo, hi)):
             for n in levels:
                 sv._advance_block(model, bases[n], runs[n], chunk)
+        del chunk       # frees the noise buffer before the block-end reductions
         for n in levels:
             blow = runs[n].blow_t
             if np.any(np.isfinite(blow)):
@@ -221,6 +232,7 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
                 sv._advance_block(model, basis, run, chunk)
                 diff = run.pop_saves() - base_rows
                 np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
+        del chunk
         for e, top in zip(perturbation_sizes, tops):
             sups[e].extend(top ** p)
 
@@ -286,6 +298,7 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
                     sv._advance_block(model, basis, run, coarse[f])
                 diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
                 np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
+        del chunk, coarse
         for d in dts:
             sups[d].extend(tops[d])
 

@@ -11,7 +11,8 @@ Ensembles never hold a whole block of paths.  `stream_block` keeps one
 generator per path and yields the block's increments in time-major
 chunks (k, paths, m) of at most CHUNK_NORMALS normals; a path's stream
 drawn in pieces is the same stream, so the chunks concatenated along
-time equal sample_path(...).increments bit for bit.
+time equal sample_path(...).increments bit for bit.  The chunks of a
+block share one buffer, each overwriting the last.
 """
 
 import struct
@@ -125,12 +126,16 @@ def load_increments(file, dt_fine, seed=0, path_id=0):
                      increments=inc, seed=seed, path_id=path_id)
 
 
-def sample_block(generators, n_steps, m_modes, dt_fine):
+def sample_block(generators, n_steps, m_modes, dt_fine, out=None):
     """The next n_steps increments of every path, time-major: shape
     (n_steps, len(generators), m_modes), scaled by sqrt(dt_fine) as
     sample_path scales them.  Each generator moves on by n_steps * m_modes
-    normals, so the next call continues every path's stream."""
-    out = np.empty((n_steps, len(generators), m_modes))
+    normals, so the next call continues every path's stream.  With `out`,
+    a buffer of at least n_steps rows, the increments fill out[:n_steps]
+    and that view is returned."""
+    if out is None:
+        out = np.empty((n_steps, len(generators), m_modes))
+    out = out[:n_steps]
     for i, gen in enumerate(generators):
         out[:, i] = gen.standard_normal((n_steps, m_modes))
     out *= np.sqrt(dt_fine)
@@ -148,11 +153,16 @@ def stream_block(m_modes, n_steps, dt_fine, seed, path_ids, multiple=1):
     """Yield the increments of paths `path_ids` in time-major chunks
     (k, paths, m_modes) that cover n_steps in order.  Every chunk but the
     last has chunk_steps(...) steps; all are multiples of `multiple` when
-    it divides n_steps."""
+    it divides n_steps.
+
+    Every chunk is a view of one buffer that the next chunk overwrites:
+    a consumer uses a chunk before asking for the next and keeps no
+    reference to it past its loop, so the block holds one chunk at a time."""
     generators = [path_generator(seed, pid) for pid in path_ids]
-    k = chunk_steps(len(generators), m_modes, multiple)
+    k = min(n_steps, chunk_steps(len(generators), m_modes, multiple))
+    buf = np.empty((k, len(generators), m_modes))
     for lo in range(0, n_steps, k):
-        yield sample_block(generators, min(k, n_steps - lo), m_modes, dt_fine)
+        yield sample_block(generators, min(k, n_steps - lo), m_modes, dt_fine, buf)
 
 
 def coarsen_chunk(chunk, factors):

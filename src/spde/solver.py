@@ -318,6 +318,7 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
         run = start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every)
         for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
             _advance_block(model, basis, run, chunk)
+        del chunk       # frees the block's noise buffer
         all_states[lo:hi] = run.saved
         all_blow[lo:hi] = run.blow_t
 

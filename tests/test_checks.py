@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,13 +308,53 @@ class RowCountingHeat(sm.HeatOU):
         return super().apply_A(basis, t, coeffs)
 
 
+# apply_A calls, one per block: at n = 8 (grid_size 32) a block holds
+# 2**20 // (241 * 32) = 135 samples, or 2**20 // (257 * 32) = 127 samples
+# when n_lambda = 17
+H1_CALLS = {(300, 16): 3, (100, 17): 1, (512, 16): 4}
+
+
 @pytest.mark.parametrize("n_samples,n_lambda", [(300, 16), (100, 17), (512, 16)])
 def test_hemicontinuity_evaluates_each_lambda_once(n_samples, n_lambda):
     model = RowCountingHeat()
     basis = model.make_basis(8)
     ck.check_hemicontinuity(model, basis, n_samples=n_samples, n_lambda=n_lambda)
     assert model.rows == (16 * (n_lambda - 1) + 1) * n_samples
-    assert model.calls == -(-n_samples // 256)          # one call per block
+    assert model.calls == H1_CALLS[n_samples, n_lambda]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_hemicontinuity_peak_memory_is_bounded(n):
+    # a 256-sample block traced 183 MB at n = 16 and 364 MB at n = 32; the
+    # grid-value budget keeps a block's temporaries near 8 MiB each
+    model = sm.build_model("p-laplacian")
+    basis = model.make_basis(n)
+    tracemalloc.start()
+    try:
+        rep = ck.check_hemicontinuity(model, basis, n_samples=512, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_samples == 512
+    assert peak < 80e6
+
+
+def report_fields(rep):
+    return (rep.n_samples, rep.n_violations, rep.min_margin, rep.median_margin,
+            rep.mean_margin, rep.fitted_constants, rep.passed,
+            [(v.index, v.t, v.margin) for v in rep.violations])
+
+
+@pytest.mark.parametrize("name", sorted(sm.MODELS))
+def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
+    # a one-sample block is still a whole lambda line (241 rows), so every
+    # row rounds as in a full block and the report keeps its bits
+    model = sm.build_model(name)
+    basis = model.make_basis(16)
+    ref = ck.check_hemicontinuity(model, basis, n_samples=150, seed=6)
+    monkeypatch.setattr(ck, "H1_GRID_VALUES", 1)
+    got = ck.check_hemicontinuity(model, basis, n_samples=150, seed=6)
+    assert report_fields(got) == report_fields(ref)
 
 
 def test_cahn_hilliard_phi_matches_power_form():

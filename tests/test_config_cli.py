@@ -310,3 +310,18 @@ def test_cli_all_blown_ensemble_exits_blowup(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BLOWUP
     assert "all 20 paths blew up" in err and "Traceback" not in err
+
+
+def test_cli_equicontinuity_overflowing_survivors_exit_blowup(tmp_path, capsys):
+    # 140 of these 300 paths blow up; the 160 survivors reach states whose
+    # squared time shifts overflow, so none is left to estimate from
+    out = tmp_path / "e"
+    code = cli.main(["equicontinuity", "--model", "gradient-noise-heat", "--nu", "30",
+                     "--n-modes", "8", "--paths", "300", "--dt", "1e-2",
+                     "--t-end", "3.5", "--save-dt", "1e-2", "--seed", "2",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BLOWUP
+    assert "all 300 paths blew up or overflowed" in captured.err
+    assert "Traceback" not in captured.err and "inf" not in captured.out
+    assert not (out / "equicontinuity.csv").exists()

@@ -5,6 +5,7 @@ import pytest
 
 from spde import diagnostics as dg
 from spde import models as sm
+from spde import noise as sn
 from spde import solver as sv
 from spde.errors import (ConfigError, InadmissiblePError, InvalidDeltaError,
                          NonfiniteStateError)
@@ -229,6 +230,23 @@ def test_all_blown_ensemble_raises_with_count():
         dg.equicontinuity_statistic(ens, [0.02], alpha=2)
 
 
+def test_equicontinuity_drops_survivors_with_nonfinite_statistic():
+    # one survivor near overflow: its squared shifts are inf at every
+    # delta, so it counts as blown and the rows are those of the others
+    m, b, ens = heat_ensemble(M=40, t_end=0.5)
+    deltas = [0.02, 0.04]
+    ref = dg.equicontinuity_statistic(
+        sv.TrajectoryEnsemble(ens.trajectories[1:], m, b), deltas, alpha=2)
+    ens.trajectories[0].states[-1] = 1e200
+    tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
+    assert tab.extra["n_blown"] == 1
+    assert tab.rows == ref.rows and [r[3] for r in tab.rows] == [39, 39]
+    for t in ens.trajectories[1:]:
+        t.states[-1] = 1e200
+    with pytest.raises(NonfiniteStateError, match="all 40 paths"):
+        dg.equicontinuity_statistic(ens, deltas, alpha=2)
+
+
 def test_galerkin_convergence_streams_noise():
     # the (paths, steps, modes) block would be 64 * 2000 * 32 float64s;
     # streamed chunks hold at most noise.CHUNK_NORMALS each
@@ -244,6 +262,25 @@ def test_galerkin_convergence_streams_noise():
         tracemalloc.stop()
     assert len(tab.rows) == 1 and tab.rows[0][3] == M
     assert peak < 0.5 * M * steps * modes * 8
+
+
+def test_galerkin_convergence_frees_noise_before_reductions():
+    # one 4 MiB noise buffer serves the block and is dropped before the
+    # block-end difference grids are built: the peak stays below the chunk
+    # plus twice the save grids (holding the chunk through the reductions,
+    # or a fresh array per chunk, each exceeded it)
+    m = sm.PLaplacian(4.0, 1.0, 0.4)
+    M, saves = 256, 51
+    x0 = 0.5 / (1.0 + np.arange(32)) ** 2
+    tracemalloc.start()
+    try:
+        dg.galerkin_convergence(m, x0, [16, 32], M=M, seed=1, t_end=0.05,
+                                dt=1e-4, save_dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    save_grids = M * saves * (16 + 32) * 8
+    assert peak < sn.CHUNK_NORMALS * 8 + 2 * save_grids
 
 
 def test_initial_data_continuity_keeps_running_maxima():

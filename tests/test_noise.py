@@ -39,7 +39,12 @@ def test_sample_block_matches_individual_paths():
 def test_stream_block_matches_sample_path(monkeypatch, paths, m, steps, budget):
     monkeypatch.setattr(sn, "CHUNK_NORMALS", budget)
     k = sn.chunk_steps(paths, m)
-    chunks = list(sn.stream_block(m, steps, 1e-3, 11, range(2, 2 + paths)))
+    # each chunk overwrites the last in one shared buffer: keep copies
+    chunks, first = [], None
+    for c in sn.stream_block(m, steps, 1e-3, 11, range(2, 2 + paths)):
+        first = c if first is None else first
+        assert np.shares_memory(c, first)
+        chunks.append(c.copy())
     assert [c.shape[0] for c in chunks[:-1]] == [k] * (len(chunks) - 1)
     assert all(c.shape[1:] == (paths, m) and c.size <= max(budget, paths * m)
                for c in chunks)

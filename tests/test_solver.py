@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,3 +387,18 @@ def test_ensemble_streams_in_bounded_chunks(monkeypatch):
     got = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).stacked()
     assert np.array_equal(got, ref)
     assert sorted(set(shapes)) == [(10, 256, 8), (30, 256, 8), (100, 44, 8)]
+
+
+def test_ensemble_block_holds_one_noise_chunk():
+    # the chunks of a block share one buffer: a fresh array per chunk held
+    # two chunks at once while the next was drawn
+    m = sm.HeatOU(0.5)
+    b = m.make_basis(4)
+    tracemalloc.start()
+    try:
+        sv.solve_ensemble(m, b, unit(4), M=256, seed=3, t_end=2.0, dt=1e-3,
+                          save_dt=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sn.CHUNK_NORMALS * 8
