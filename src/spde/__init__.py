@@ -14,8 +14,7 @@ from .diagnostics import (DiagnosticTable, equicontinuity_statistic,
 from .models import (MODELS, ZOO, FIXTURES, HypothesisSpec, Model, build_model)
 from .noise import (NoisePath, coarsen, dump_increments, load_increments,
                     sample_path, truncate)
-from .solver import (Trajectory, TrajectoryEnsemble, solve_ensemble,
-                     solve_path, step_explicit_tamed, step_semi_implicit)
+from .solver import Trajectory, TrajectoryEnsemble, solve_ensemble, solve_path
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -158,11 +158,6 @@ def analyze(basis, grid_values):
     return (v * basis.weights) @ basis.fns.T
 
 
-def quad(basis, grid_values):
-    """Quadrature of grid values over the domain."""
-    return np.asarray(grid_values, float) @ basis.weights
-
-
 def h_norm(basis, state):
     """L² norm via Parseval: the Euclidean norm of the coefficients."""
     c = _coeffs_of(state)

@@ -122,12 +122,7 @@ def run(cfg):
     if cfg.command == "moments":
         p = float(cfg.experiment.get("p", 2.0))
         alpha = float(cfg.experiment.get("alpha", model.alpha))
-        hyp = model.hypothesis
-        if hyp.part2:
-            p_max = hyp.admissible_p_max(model.alpha)
-            if not 2.0 <= p < p_max:
-                raise InadmissiblePError(
-                    f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
+        dg.check_moment_exponent(model, p)      # fail before solving
         ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
                                 run_sec["paths"], seed, stepper,
                                 run_sec["t_end"], run_sec["dt"],
@@ -152,7 +147,8 @@ def run(cfg):
         levels = cfg.experiment.get("levels", [8, 16, 32])
         table = dg.galerkin_convergence(
             model, _x0(cfg, max(levels)), levels, run_sec["paths"], seed,
-            run_sec["t_end"], run_sec["dt"], run_sec["save_dt"], alpha, stepper)
+            run_sec["t_end"], run_sec["dt"], run_sec["save_dt"], alpha, stepper,
+            threads=threads)
         name = "converge"
     elif cfg.command == "continuity":
         p = float(cfg.experiment.get("p", 2.0))
@@ -162,7 +158,7 @@ def run(cfg):
             model, basis, _x0(cfg, basis.n_modes),
             initial_coefficients(direction, basis.n_modes), eps, p,
             run_sec["paths"], seed, run_sec["t_end"], run_sec["dt"],
-            run_sec["save_dt"], stepper)
+            run_sec["save_dt"], stepper, threads=threads)
         name = "continuity"
     elif cfg.command == "uniqueness":
         dt_levels = cfg.experiment.get("dt_levels")
@@ -171,7 +167,8 @@ def run(cfg):
         mode = cfg.experiment.get("mode", "dt-refinement")
         table = dg.uniqueness_probe(
             model, basis, _x0(cfg, basis.n_modes), run_sec["paths"], seed,
-            dt_levels, run_sec["t_end"], run_sec["save_dt"], stepper, mode)
+            dt_levels, run_sec["t_end"], run_sec["save_dt"], stepper, mode,
+            threads=threads)
         name = "uniqueness"
     else:
         raise ConfigError(f"unhandled command {cfg.command!r}")

@@ -8,6 +8,7 @@ contract is enforced up front so every downstream ratio is an exact
 integer.
 """
 
+import inspect
 import json
 import math
 import numbers
@@ -19,20 +20,10 @@ from .basis import build_basis
 from .diagnostics import PROBE_MODES
 from .errors import ConfigError
 from .models import MODELS, build_model
+from .solver import STEPPERS, ratio_as_int
 
 COMMANDS = ("check", "simulate", "converge", "moments", "equicontinuity",
             "continuity", "uniqueness")
-
-_MODEL_PARAMS = {
-    "heat-ou": {"sigma"},
-    "p-laplacian": {"p", "c", "sigma"},
-    "convection-diffusion": {"sigma", "mono_scale"},
-    "cahn-hilliard": {"sigma", "phi_cubic", "phi_linear", "mono_scale"},
-    "gradient-noise-heat": {"nu"},
-    "fixture-bad-h1": {"sigma"},
-    "fixture-bad-h5": {"sigma"},
-    "fixture-bad-h3": set(),
-}
 
 _BASIS_KEYS = {"kind", "n_modes", "grid_size", "v_weight_exponent"}
 _RUN_KEYS = {"t_end", "dt", "save_dt", "paths", "seed", "stepper", "threads"}
@@ -115,14 +106,6 @@ def _check_coefficients(value, what):
         _finite_number(entry, f"{what}[{i}]")
 
 
-def _require_ratio(num, den, what):
-    if den <= 0 or num <= 0:
-        raise ConfigError(f"{what}: values must be positive")
-    r = num / den
-    if abs(r - round(r)) > 1e-9 * max(1.0, abs(r)) or round(r) < 1:
-        raise ConfigError(f"{what}: {num}/{den} is not an integer ratio")
-
-
 _DEFAULTS = {
     "basis": {"n_modes": 16},
     "run": {"t_end": 1.0, "dt": 1e-3, "paths": 100, "seed": 0},
@@ -184,7 +167,7 @@ def load_config(path=None, flags=None):
         raise ConfigError("model.name is required")
     if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}")
-    _reject_unknown("model", model_sec, _MODEL_PARAMS[name])
+    _reject_unknown("model", model_sec, inspect.signature(MODELS[name]).parameters)
     for key, value in model_sec.items():
         _finite_number(value, f"model.{key}")
     _reject_unknown("basis", basis_sec, _BASIS_KEYS)
@@ -202,12 +185,15 @@ def load_config(path=None, flags=None):
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
     run["paths"] = _integer(run["paths"], "run.paths")
     run["seed"] = _integer(run["seed"], "run.seed", minimum=0)
-    if run.get("stepper") is not None and run["stepper"] not in (
-            "explicit-tamed", "semi-implicit"):
+    if run.get("threads") is not None:
+        run["threads"] = _integer(run["threads"], "run.threads", minimum=0)
+    if run.get("stepper") is not None and run["stepper"] not in STEPPERS:
         raise ConfigError(f"unknown stepper {run['stepper']!r}")
 
-    _require_ratio(run["save_dt"], run["dt"], "save_dt/dt")
-    _require_ratio(run["t_end"], run["save_dt"], "t_end/save_dt")
+    for key in ("t_end", "dt", "save_dt"):
+        _finite_number(run[key], f"run.{key}")
+    ratio_as_int(run["save_dt"], run["dt"], "save_dt/dt")
+    ratio_as_int(run["t_end"], run["save_dt"], "t_end/save_dt")
 
     for key in ("x0", "direction"):
         if key in exp_sec:

@@ -71,10 +71,17 @@ def loglog_fit(x, y):
 
 
 def _mean_se(values):
+    """Mean, standard error and count.  np.std squares deviations, which
+    overflow above about 1e154; dividing by 2**k first is exact, so the
+    result keeps its bits wherever the unscaled form is finite.  frexp
+    gives k = 0 for a zero, NaN or infinite maximum."""
     values = np.asarray(values, float)
     m = values.size
     est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    se = 0.0
+    if m > 1:
+        k = math.frexp(np.max(np.abs(values)))[1]
+        se = float(np.ldexp(np.std(np.ldexp(values, -k), ddof=1), k) / np.sqrt(m))
     return est, se, m
 
 
@@ -96,18 +103,22 @@ def _alive(ensemble):
     return trajs, n_blown
 
 
+def check_moment_exponent(model, p):
+    """Reject a moment exponent p outside [2, p_max); p_max is finite only
+    for Part II models, whose noise bounds the admissible moments."""
+    hyp = getattr(model, "hypothesis", None)
+    p_max = hyp.admissible_p_max(model.alpha) if hyp is not None and hyp.part2 \
+        else math.inf
+    if not 2.0 <= p < p_max:
+        raise InadmissiblePError(
+            f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
+
+
 def moment_report(ensemble, p, alpha, model=None, basis=None):
     """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}."""
     model = model or ensemble.model
     basis = basis or ensemble.basis
-    if p < 2:
-        raise InadmissiblePError("moment exponent p must be >= 2")
-    hyp = getattr(model, "hypothesis", None)
-    if hyp is not None and hyp.part2:
-        p_max = hyp.admissible_p_max(model.alpha)
-        if not p < p_max:
-            raise InadmissiblePError(
-                f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
+    check_moment_exponent(model, p)
     trajs, n_blown = _alive(ensemble)
     save_dt = trajs[0].save_dt
     sup_p, vint_p = [], []
@@ -157,7 +168,8 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
 
 
 def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
-                         alpha=None, stepper=None, grid_factor=4, m_modes=None):
+                         alpha=None, stepper=None, grid_factor=4, m_modes=None,
+                         threads=None):
     """Cauchy differences between adjacent Galerkin levels under common noise.
 
     One fine noise path per path_id carries the finest level's mode count
@@ -165,7 +177,9 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     directions); every level consumes its leading columns, so all levels
     see the same realization.  States are compared after zero-padding to
     the finer space; rows are keyed by the coarser dimension n and
-    estimate E int_0^T ||X_n - X_2n||_H^alpha dt.
+    estimate E int_0^T ||X_n - X_2n||_H^alpha dt.  Blocks of paths run
+    on `threads` workers (solver.run_blocks); the table does not depend
+    on the count.
     """
     alpha = alpha if alpha is not None else model.alpha
     save_dt = save_dt if save_dt is not None else dt
@@ -174,92 +188,101 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     bases = {n: model.make_basis(n, grid_factor * n) for n in levels}
     m_fine = m_modes if m_modes is not None else max(
         model.noise_modes(bases[n]) for n in levels)
-    steps = sv._ratio_as_int(t_end, dt, "t_end/dt")
-    save_every = sv._ratio_as_int(save_dt, dt, "save_dt/dt")
+    steps = sv.ratio_as_int(t_end, dt, "t_end/dt")
+    save_every = sv.ratio_as_int(save_dt, dt, "save_dt/dt")
     x0 = np.asarray(x0, float)
 
-    errs = {n: [] for n in levels[:-1]}
-    for lo in range(0, M, sv.BLOCK):
-        hi = min(lo + sv.BLOCK, M)
-        runs = {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
+    def start(lo, hi):
+        return {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
                                   hi - lo, steps, dt, stepper, save_every)
                 for n in levels}
-        for chunk in sn.stream_block(m_fine, steps, dt, seed, range(lo, hi)):
-            for n in levels:
-                sv._advance_block(model, bases[n], runs[n], chunk)
-        del chunk       # frees the noise buffer before the block-end reductions
+
+    def advance(runs, chunk):
+        for n in levels:
+            sv._advance_block(model, bases[n], runs[n], chunk)
+
+    def finish(lo, hi, runs):
         for n in levels:
             blow = runs[n].blow_t
             if np.any(np.isfinite(blow)):
                 raise NonfiniteStateError("blow-up in convergence study",
                                           time=float(np.nanmin(blow)))
+        errs = []
         for a, bn in zip(levels[:-1], levels[1:]):
             diff = runs[bn].saved.copy()
             diff[:, :, :a] -= runs[a].saved
             vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)
-            errs[a].extend(np.trapezoid(vals, dx=save_dt, axis=1))
+            errs.append(np.trapezoid(vals, dx=save_dt, axis=1))
+        return errs
 
-    rows = [(float(n), *_mean_se(errs[n])) for n in levels[:-1]]
+    blocks = sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
+                           threads=threads)
+    rows = [(float(n), *_mean_se(np.concatenate(errs)))
+            for n, errs in zip(levels[:-1], zip(*blocks))]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="converge", rows=rows, fitted_rate=fit,
                            extra={"alpha": alpha, "levels": list(map(int, levels))})
 
 
 def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
-                            M, seed, t_end, dt, save_dt=None, stepper=None):
-    """E sup_t ||X(t, x + eps d) - X(t, x)||_H^p against eps, common noise."""
+                            M, seed, t_end, dt, save_dt=None, stepper=None,
+                            threads=None):
+    """E sup_t ||X(t, x + eps d) - X(t, x)||_H^p against eps, common noise.
+    Blocks of paths run on `threads` workers (solver.run_blocks)."""
     save_dt = save_dt if save_dt is not None else dt
     stepper = stepper or model.default_stepper
-    steps = sv._ratio_as_int(t_end, dt, "t_end/dt")
-    save_every = sv._ratio_as_int(save_dt, dt, "save_dt/dt")
+    steps = sv.ratio_as_int(t_end, dt, "t_end/dt")
+    save_every = sv.ratio_as_int(save_dt, dt, "save_dt/dt")
     m = model.noise_modes(basis)
     d = sv.project_initial(basis, direction)
     x0 = sv.project_initial(basis, x)
+    starts = [x0] + [x0 + e * d for e in perturbation_sizes]
 
-    sups = {e: [] for e in perturbation_sizes}
-    for lo in range(0, M, sv.BLOCK):
-        hi = min(lo + sv.BLOCK, M)
-        base, *perts = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper,
-                                       save_every, window=True)
-                        for c0 in [x0] + [x0 + e * d for e in perturbation_sizes]]
+    def start(lo, hi):
+        runs = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper,
+                               save_every, window=True) for c0 in starts]
         # running sup over the save rows of each chunk: only (M,) maxima
         # outlive a chunk
-        tops = np.full((len(perts), hi - lo), -np.inf)
-        for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
-            sv._advance_block(model, basis, base, chunk)
-            base_rows = base.pop_saves()
-            for top, run in zip(tops, perts):
-                sv._advance_block(model, basis, run, chunk)
-                diff = run.pop_saves() - base_rows
-                np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
-        del chunk
-        for e, top in zip(perturbation_sizes, tops):
-            sups[e].extend(top ** p)
+        return runs, np.full((len(perturbation_sizes), hi - lo), -np.inf)
 
-    rows = [(float(e), *_mean_se(sups[e])) for e in perturbation_sizes]
+    def advance(state, chunk):
+        (base, *perts), tops = state
+        sv._advance_block(model, basis, base, chunk)
+        base_rows = base.pop_saves()
+        for top, run in zip(tops, perts):
+            sv._advance_block(model, basis, run, chunk)
+            diff = run.pop_saves() - base_rows
+            np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
+
+    sups = np.concatenate(
+        sv.run_blocks(M, seed, m, steps, dt, start, advance,
+                      lambda lo, hi, state: state[1] ** p, threads=threads),
+        axis=1)
+    rows = [(float(e), *_mean_se(sup)) for e, sup in zip(perturbation_sizes, sups)]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="continuity", rows=rows, fitted_rate=fit,
                            extra={"p": p, "direction_norm": float(np.linalg.norm(d))})
 
 
 def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
-                     stepper=None, mode="dt-refinement"):
+                     stepper=None, mode="dt-refinement", threads=None):
     """Common-noise discrepancy between two discretizations of one equation.
 
     mode "dt-refinement": at each dt in dt_levels, compare dt against dt/2
     (both driven by block sums of one fine path).
     mode "stepper": at each dt, compare explicit-tamed vs semi-implicit.
     mode "identical": same stepper, same dt, twice (difference must be 0).
-    Rows keyed by dt estimate E sup_t ||difference||_H^2.
+    Rows keyed by dt estimate E sup_t ||difference||_H^2.  Blocks of paths
+    run on `threads` workers (solver.run_blocks).
     """
     if mode not in PROBE_MODES:
         raise InvalidDeltaError(f"unknown probe mode {mode!r}")
     stepper = stepper or model.default_stepper
     dts = sorted(dt_levels, reverse=True)
     for d in dts:
-        sv._ratio_as_int(t_end, d, "t_end/dt_level")
+        sv.ratio_as_int(t_end, d, "t_end/dt_level")
     fine_dt = dts[-1] / 2.0
-    steps_fine = sv._ratio_as_int(t_end, fine_dt, "t_end/fine_dt")
+    steps_fine = sv.ratio_as_int(t_end, fine_dt, "t_end/fine_dt")
     save_dt = save_dt if save_dt is not None else dts[0]
     m = model.noise_modes(basis)
     x0 = sv.project_initial(basis, x0)
@@ -268,11 +291,11 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     # the fine path, stepper, save_every)
     pairs = {}
     for d in dts:
-        f1 = sv._ratio_as_int(d, fine_dt, "dt_level/fine_dt")
-        se1 = sv._ratio_as_int(save_dt, d, "save_dt/dt_level")
+        f1 = sv.ratio_as_int(d, fine_dt, "dt_level/fine_dt")
+        se1 = sv.ratio_as_int(save_dt, d, "save_dt/dt_level")
         first = (d, f1, "explicit-tamed" if mode == "stepper" else stepper, se1)
         if mode == "dt-refinement":
-            f2 = sv._ratio_as_int(d / 2.0, fine_dt, "dt_level/2/fine_dt")
+            f2 = sv.ratio_as_int(d / 2.0, fine_dt, "dt_level/2/fine_dt")
             second = (d / 2.0, f2, stepper, 2 * se1)
         elif mode == "stepper":
             second = (d, f1, "semi-implicit", se1)
@@ -281,28 +304,28 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
         pairs[d] = (first, second)
     factors = {f for pair in pairs.values() for _, f, _, _ in pair}
 
-    sups = {d: [] for d in dts}
-    for lo in range(0, M, sv.BLOCK):
-        hi = min(lo + sv.BLOCK, M)
-        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st, se,
-                                   window=True)
+    def start(lo, hi):
+        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st,
+                                   se, window=True)
                     for h, f, st, se in pair]
                 for d, pair in pairs.items()}
-        tops = {d: np.full(hi - lo, -np.inf) for d in dts}
-        # chunks hold whole coarse steps of every level
-        for chunk in sn.stream_block(m, steps_fine, fine_dt, seed, range(lo, hi),
-                                     multiple=math.lcm(*factors)):
-            coarse = sn.coarsen_chunk(chunk, factors)
-            for d, pair in pairs.items():
-                for run, (_, f, _, _) in zip(runs[d], pair):
-                    sv._advance_block(model, basis, run, coarse[f])
-                diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
-                np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
-        del chunk, coarse
-        for d in dts:
-            sups[d].extend(tops[d])
+        return runs, {d: np.full(hi - lo, -np.inf) for d in dts}
 
-    rows = [(float(d), *_mean_se(sups[d])) for d in dts]
+    def advance(state, chunk):
+        runs, tops = state
+        coarse = sn.coarsen_chunk(chunk, factors)
+        for d, pair in pairs.items():
+            for run, (_, f, _, _) in zip(runs[d], pair):
+                sv._advance_block(model, basis, run, coarse[f])
+            diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
+            np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
+
+    # chunks hold whole coarse steps of every level
+    blocks = sv.run_blocks(M, seed, m, steps_fine, fine_dt, start, advance,
+                           lambda lo, hi, state: state[1],
+                           multiple=math.lcm(*factors), threads=threads)
+    rows = [(float(d), *_mean_se(np.concatenate([tops[d] for tops in blocks])))
+            for d in dts]
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="uniqueness", rows=rows, fitted_rate=fit,
                            extra={"mode": mode})

@@ -157,7 +157,9 @@ def stream_block(m_modes, n_steps, dt_fine, seed, path_ids, multiple=1):
 
     Every chunk is a view of one buffer that the next chunk overwrites:
     a consumer uses a chunk before asking for the next and keeps no
-    reference to it past its loop, so the block holds one chunk at a time."""
+    reference to it past its loop, so the block holds one chunk at a time.
+    The one consumer is solver.run_blocks, which keeps that rule for
+    every ensemble experiment."""
     generators = [path_generator(seed, pid) for pid in path_ids]
     k = min(n_steps, chunk_steps(len(generators), m_modes, multiple))
     buf = np.empty((k, len(generators), m_modes))

@@ -1,25 +1,31 @@
 """Time integration of the Galerkin SDE in coefficient coordinates.
 
-Two one-step maps: an explicit Euler scheme with drift taming (the
-increment dt*a is divided by 1 + dt*||a||, which caps a single drift
-update at norm 1 and keeps moments of superlinear models bounded), and
-a semi-implicit scheme that treats the model's diagonal linear part
-implicitly (unconditionally stable for spectra up to k^4).
+One step function, `_advance_block`, holds both one-step maps: an
+explicit Euler scheme with drift taming (the increment dt*a is divided
+by 1 + dt*||a||, which caps a single drift update at norm 1 and keeps
+moments of superlinear models bounded), and a semi-implicit scheme that
+treats the model's diagonal linear part implicitly (unconditionally
+stable for spectra up to k^4).
 
-The core loop is batched over paths: a block of up to BLOCK paths
-advances as one (M, n) array per step.  A block's noise arrives as
-time-major chunks (k, M, m) from noise.stream_block, and one resumable
-step function, `_advance_block`, carries the block's state (a BlockRun)
-from chunk to chunk, so memory holds one chunk rather than the block's
-whole noise.  A run keeps its whole save grid, or, windowed, only the
-save rows of its latest chunk, for consumers that fold the rows into a
-running statistic as they go.  Chunks fed in order give the same bits as
-a single chunk holding every step.  The fixed BLOCK keeps a path's arithmetic
-independent of the number of worker threads; it does not make it
-independent of the path's position in its block (outside elementwise
-models such as heat-ou, the batched transforms can round differently).
+The step is batched over paths: a block of up to BLOCK paths advances
+as one (M, n) array per step.  One driver, `run_blocks`, owns what every
+ensemble experiment shares: the block spans, the worker threads, each
+block's noise stream (time-major chunks (k, M, m) from
+noise.stream_block) and the chunk's lifetime.  An experiment supplies
+three callbacks: start a block's runs, advance them through one chunk,
+and finish the block once its noise buffer is dropped.  `_advance_block`
+carries a block's state (a BlockRun) from chunk to chunk, so memory
+holds one chunk rather than the block's whole noise.  A run keeps its
+whole save grid, or, windowed, only the save rows of its latest chunk,
+for consumers that fold the rows into a running statistic as they go.
+Chunks fed in order give the same bits as a single chunk holding every
+step.  The fixed BLOCK keeps a path's arithmetic independent of the
+number of worker threads; it does not make it independent of the path's
+position in its block (outside elementwise models such as heat-ou, the
+batched transforms can round differently).
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,59 +42,23 @@ STEPPERS = ("explicit-tamed", "semi-implicit")
 
 
 def worker_count(threads=None):
-    """Resolve the worker count: explicit arg, else SPDE_THREADS (0 = auto)."""
+    """Worker threads for `threads`: None means 1, 0 one per CPU."""
     if threads is None:
-        env = os.environ.get("SPDE_THREADS", "")
-        threads = int(env) if env.strip() else 1
+        return 1
     if threads == 0:
-        threads = os.cpu_count() or 1
+        return os.cpu_count() or 1
     return max(1, threads)
 
 
-def _ratio_as_int(num, den, what):
+def ratio_as_int(num, den, what):
+    """num / den as an exact integer >= 1, or a ConfigError naming `what`."""
+    if not (num > 0 and den > 0):
+        raise ConfigError(f"{what}: values must be positive, got {num} and {den}")
     r = num / den
-    k = int(round(r))
+    k = int(round(r)) if math.isfinite(r) else 0
     if k < 1 or abs(r - k) > 1e-9 * max(1.0, abs(r)):
         raise ConfigError(f"{what}: {num} / {den} is not a positive integer")
     return k
-
-
-def _tamed_increment(model, basis, c, t, dt):
-    a = model.apply_A(basis, t, c)
-    tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
-    return dt * a / tame
-
-
-def step_explicit_tamed(model, basis, state, dt, noise_row):
-    """One tamed Euler step; accepts a GalerkinState or a coefficient array."""
-    wrap = isinstance(state, sb.GalerkinState)
-    c = state.coeffs if wrap else np.asarray(state, float)
-    t = state.time if wrap else 0.0
-    out = c + _tamed_increment(model, basis, c, t, dt) \
-        + model.apply_B_increment(basis, t, c, np.asarray(noise_row))
-    if not np.all(np.isfinite(out)):
-        raise NonfiniteStateError("explicit-tamed step produced non-finite state",
-                                  time=t + dt)
-    return sb.GalerkinState(out, t + dt) if wrap else out
-
-
-def step_semi_implicit(model, basis, state, dt, noise_row):
-    """One semi-implicit step: the model's diagonal linear part L is
-    treated implicitly, the remaining drift and the noise explicitly."""
-    L = model.linear_diagonal(basis)
-    if L is None:
-        raise UnsupportedModelNormError(
-            f"{model.name} declares no diagonal linear part")
-    wrap = isinstance(state, sb.GalerkinState)
-    c = state.coeffs if wrap else np.asarray(state, float)
-    t = state.time if wrap else 0.0
-    a = model.apply_A(basis, t, c)
-    out = (c + dt * (a - L * c)
-           + model.apply_B_increment(basis, t, c, np.asarray(noise_row))) / (1.0 - dt * L)
-    if not np.all(np.isfinite(out)):
-        raise NonfiniteStateError("semi-implicit step produced non-finite state",
-                                  time=t + dt)
-    return sb.GalerkinState(out, t + dt) if wrap else out
 
 
 @dataclass
@@ -105,9 +75,6 @@ class Trajectory:
     path_id: int = 0
     m_modes: int = 0
     blew_up_at: float = None   # set only when on_blowup="discard"
-
-    def state(self, i):
-        return sb.GalerkinState(self.states[i], float(self.times[i]))
 
     def h_norms(self):
         return np.linalg.norm(self.states, axis=-1)
@@ -236,6 +203,36 @@ def _advance_block(model, basis, run, increments):
     run.step += len(increments)
 
 
+def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1,
+               threads=None):
+    """Drive paths 0..M-1 through n_steps steps in blocks of BLOCK paths.
+
+    For each block [lo, hi): state = start(lo, hi); advance(state, chunk)
+    for every chunk of the block's noise (noise.stream_block with m_modes,
+    dt and `multiple`); then, with the chunk dropped, finish(lo, hi, state).
+    Returns the finish results in block order.  Blocks run on
+    worker_count(threads) threads; the callbacks of one block share no
+    state with another's."""
+    if M < 1:
+        raise ConfigError("M must be >= 1")
+
+    def do_block(span):
+        lo, hi = span
+        state = start(lo, hi)
+        for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
+                                     multiple):
+            advance(state, chunk)
+        del chunk       # frees the noise buffer before the block-end reductions
+        return finish(lo, hi, state)
+
+    spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
+    nw = worker_count(threads)
+    if nw > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=nw) as ex:
+            return list(ex.map(do_block, spans))
+    return [do_block(span) for span in spans]
+
+
 def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=None):
     """Integrate one path driven by the given NoisePath.
 
@@ -251,8 +248,8 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     if save_dt is None:
         save_dt = noise_path.dt_fine
     dt = noise_path.dt_fine
-    save_every = _ratio_as_int(save_dt, dt, "save_dt/dt")
-    n_saves = _ratio_as_int(t_end, save_dt, "t_end/save_dt")
+    save_every = ratio_as_int(save_dt, dt, "save_dt/dt")
+    n_saves = ratio_as_int(t_end, save_dt, "t_end/save_dt")
     steps = save_every * n_saves
     if noise_path.n_steps < steps:
         raise ConfigError(
@@ -292,20 +289,17 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                    save_dt=None, m_modes=None, on_blowup="raise", threads=None):
     """M independent paths, path_id = 0..M-1, reproducible for a fixed M.
 
-    Paths run in blocks of BLOCK; each block streams its noise in
-    time-major chunks (noise.stream_block) through `_advance_block`, so
-    no block's whole noise is held at once.  on_blowup: "raise"
+    Paths run in blocks through `run_blocks`, each keeping its whole save
+    grid for the ensemble's (M, S+1, n) array.  on_blowup: "raise"
     propagates the first non-finite path (with its path_id); "discard"
     records the blow-up time and keeps going, leaving NaNs past the
     blow-up."""
-    if M < 1:
-        raise ConfigError("M must be >= 1")
     stepper = stepper or model.default_stepper
     if stepper not in STEPPERS:
         raise ConfigError(f"unknown stepper {stepper!r}")
     save_dt = save_dt if save_dt is not None else dt
-    save_every = _ratio_as_int(save_dt, dt, "save_dt/dt")
-    n_saves = _ratio_as_int(t_end, save_dt, "t_end/save_dt")
+    save_every = ratio_as_int(save_dt, dt, "save_dt/dt")
+    n_saves = ratio_as_int(t_end, save_dt, "t_end/save_dt")
     steps = save_every * n_saves
     m = m_modes if m_modes is not None else model.noise_modes(basis)
     c0 = project_initial(basis, x0)
@@ -314,22 +308,15 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
     all_states = np.empty((M, n_saves + 1, basis.n_modes))
     all_blow = np.full(M, np.nan)
 
-    def do_block(lo, hi):
-        run = start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every)
-        for chunk in sn.stream_block(m, steps, dt, seed, range(lo, hi)):
-            _advance_block(model, basis, run, chunk)
-        del chunk       # frees the block's noise buffer
+    def finish(lo, hi, run):
         all_states[lo:hi] = run.saved
         all_blow[lo:hi] = run.blow_t
 
-    spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
-    nw = worker_count(threads)
-    if nw > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            list(ex.map(lambda s: do_block(*s), spans))
-    else:
-        for s in spans:
-            do_block(*s)
+    run_blocks(M, seed, m, steps, dt,
+               lambda lo, hi: start_block(model, basis, c0, hi - lo, steps, dt,
+                                          stepper, save_every),
+               lambda run, chunk: _advance_block(model, basis, run, chunk),
+               finish, threads=threads)
 
     if on_blowup == "raise":
         bad = np.flatnonzero(np.isfinite(all_blow))
@@ -344,15 +331,6 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                         seed=seed, path_id=i, m_modes=m,
                         blew_up_at=None if np.isnan(all_blow[i]) else float(all_blow[i]))
              for i in range(M)]
-    return TrajectoryEnsemble(trajectories=trajs, model=model, basis=basis)
-
-
-def solve_coupled(model, basis, x0, noise_paths, stepper=None, t_end=None,
-                  save_dt=None):
-    """Solve a list of explicitly provided NoisePaths (common-noise
-    experiments build these by truncate/coarsen from shared fine paths)."""
-    trajs = [solve_path(model, basis, x0, p, stepper, t_end, save_dt)
-             for p in noise_paths]
     return TrajectoryEnsemble(trajectories=trajs, model=model, basis=basis)
 
 

@@ -325,3 +325,47 @@ def test_cli_equicontinuity_overflowing_survivors_exit_blowup(tmp_path, capsys):
     assert "all 300 paths blew up or overflowed" in captured.err
     assert "Traceback" not in captured.err and "inf" not in captured.out
     assert not (out / "equicontinuity.csv").exists()
+
+
+@pytest.mark.parametrize("key,value,needle", [
+    ("dt", "abc", "run.dt must be a finite number"),
+    ("dt", None, "run.dt must be a finite number"),
+    ("dt", [1], "run.dt must be a finite number"),
+    ("dt", float("nan"), "run.dt must be a finite number"),
+    ("t_end", float("inf"), "run.t_end must be a finite number"),
+    ("save_dt", True, "run.save_dt must be a finite number"),
+    ("dt", -1e-3, "save_dt/dt: values must be positive"),
+    ("threads", "x", "run.threads must be an integer >= 0"),
+    ("threads", -3, "run.threads must be an integer >= 0"),
+    ("threads", 1.5, "run.threads must be an integer >= 0"),
+])
+def test_cli_rejects_bad_run_values(tmp_path, capsys, key, value, needle):
+    run = {"t_end": 0.01, "paths": 4}
+    run[key] = value
+    path = write_cfg(tmp_path, {"command": "moments", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4}, "run": run})
+    code = cli.main(["moments", "--config", path, "--out", str(tmp_path / "m")])
+    assert_usage_error(capsys, code, needle)
+    assert not (tmp_path / "m").exists()
+
+
+def test_cli_rejects_negative_threads_flag(tmp_path, capsys):
+    code = cli.main(["moments", "--model", "heat-ou", "--threads=-3",
+                     "--out", str(tmp_path / "m")])
+    assert_usage_error(capsys, code, "run.threads must be an integer >= 0, got -3")
+
+
+def test_cli_large_estimates_get_finite_std_errors(tmp_path):
+    # survivors near 1e95 give time-shift integrals near 1e191, whose
+    # squared deviations overflow an unscaled np.std
+    out = tmp_path / "e"
+    code = cli.main(["equicontinuity", "--model", "gradient-noise-heat", "--nu", "30",
+                     "--n-modes", "8", "--paths", "300", "--dt", "1e-2",
+                     "--t-end", "1", "--save-dt", "1e-2", "--seed", "2",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    summary = (out / "summary.json").read_text()
+    assert "Infinity" not in summary
+    rows = json.loads(summary)["rows"]
+    assert len(rows) == 5 and all(1e189 < est < 1e193 and 0 < se < est
+                                  for _, est, se, _ in rows)

@@ -313,3 +313,56 @@ def test_uniqueness_probe_rejects_bad_mode_and_levels():
     with pytest.raises(ConfigError, match="dt_level"):
         dg.uniqueness_probe(m, b, unit(4), M=2, seed=0, dt_levels=[0.03, 0.02],
                             t_end=0.06)
+
+
+def test_galerkin_convergence_frees_each_block():
+    # a block's runs and difference grids are gone before the next block
+    # allocates, so a second block does not raise the peak
+    m = sm.PLaplacian(4.0, 1.0, 0.4)
+    x0 = 0.5 / (1.0 + np.arange(32)) ** 2
+    peaks = []
+    for M in (256, 512):
+        tracemalloc.start()
+        try:
+            dg.galerkin_convergence(m, x0, [16, 32], M=M, seed=3, t_end=0.05,
+                                    dt=1e-4, save_dt=1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0]
+
+
+BLOCK_DRIVEN = {
+    "converge": lambda m, b, x0, th: dg.galerkin_convergence(
+        m, x0, [4, 8, 16], M=300, seed=1, t_end=0.02, dt=1e-3, save_dt=5e-3,
+        threads=th),
+    "continuity": lambda m, b, x0, th: dg.initial_data_continuity(
+        m, b, x0, unit(16, 1), [0.1, 0.05], 2.0, M=300, seed=1, t_end=0.02,
+        dt=1e-3, save_dt=5e-3, threads=th),
+    "uniqueness": lambda m, b, x0, th: dg.uniqueness_probe(
+        m, b, x0, M=300, seed=1, dt_levels=[2e-3, 1e-3], t_end=0.02,
+        save_dt=4e-3, threads=th),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BLOCK_DRIVEN))
+def test_block_driven_tables_thread_invariant(experiment):
+    # M = 300 is a full block and a tail block, run on one or two workers
+    m = sm.PLaplacian(4.0, 1.0, 0.4)
+    b = m.make_basis(16)
+    x0 = 0.5 / (1.0 + np.arange(16)) ** 2
+    one, two = (BLOCK_DRIVEN[experiment](m, b, x0, th) for th in (1, 2))
+    assert [r[3] for r in one.rows] == [300] * len(one.rows)
+    assert one.rows == two.rows and one.fitted_rate == two.fitted_rate
+
+
+def test_mean_se_scales_before_squaring():
+    # the power-of-two scaling keeps the unscaled bits where those are
+    # finite, and a finite std error where squaring would overflow
+    rng = np.random.default_rng(0)
+    for scale in (1e-26, 1.0, 1e26):
+        x = scale * rng.standard_normal(50)
+        assert dg._mean_se(x) == (np.mean(x), np.std(x, ddof=1) / np.sqrt(50), 50)
+    est, se, m = dg._mean_se([1e190, 3e190])
+    assert est == 2e190 and se == pytest.approx(1e190, rel=1e-12) and m == 2
+    assert dg._mean_se([0.0, 0.0]) == (0.0, 0.0, 2)

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -45,19 +47,26 @@ class ExplodingModel(sm.Model):
     b_hs_diff_sq = None
 
 
+def one_step(model, basis, c, dt, stepper):
+    """One `stepper` step of the single path c under zero noise, through
+    the block stepper; returns the one-row BlockRun."""
+    run = sv.start_block(model, basis, c, 1, 1, dt, stepper, 1)
+    sv._advance_block(model, basis, run, np.zeros((1, 1, basis.n_modes)))
+    return run
+
+
 def test_tamed_step_zero_drift_zero_noise():
     m = sm.HeatOU(sigma=0.0)
     b = m.make_basis(4)
-    s0 = sb.GalerkinState(np.zeros(4), time=0.25)
-    s1 = sv.step_explicit_tamed(m, b, s0, 0.01, np.zeros(4))
-    assert np.all(s1.coeffs == 0) and s1.time == pytest.approx(0.26)
+    run = one_step(m, b, np.zeros(4), 0.01, "explicit-tamed")
+    assert np.all(run.c == 0) and run.step == 1
 
 
 def test_tamed_step_heat_recursion():
     m = sm.HeatOU(sigma=0.0)
     b = m.make_basis(4)
     dt, c1 = 0.01, 0.8
-    out = sv.step_explicit_tamed(m, b, np.array([c1, 0, 0, 0]), dt, np.zeros(4))
+    out = one_step(m, b, np.array([c1, 0, 0, 0]), dt, "explicit-tamed").c[0]
     expect = c1 * (1.0 - dt / (1.0 + dt * abs(c1) * b.eigenvalues[0]))
     assert out[0] == pytest.approx(expect, rel=1e-14)
 
@@ -69,7 +78,7 @@ def test_taming_bound_any_drift_size():
     b = m.make_basis(8)
     huge = 1e6 * sb.sample_coeffs(b, 4, seed=1)
     for c in huge:
-        out = sv.step_explicit_tamed(m, b, c, 0.1, np.zeros(8))
+        out = one_step(m, b, c, 0.1, "explicit-tamed").c[0]
         assert np.linalg.norm(out - c) <= 1.0 + 1e-7
 
 
@@ -77,7 +86,7 @@ def test_semi_implicit_heat_exact():
     m = sm.HeatOU(sigma=0.0)
     b = m.make_basis(4)
     dt = 0.05
-    out = sv.step_semi_implicit(m, b, unit(4), dt, np.zeros(4))
+    out = one_step(m, b, unit(4), dt, "semi-implicit").c[0]
     assert out[0] == pytest.approx(1.0 / (1.0 + dt), rel=1e-14)
 
 
@@ -85,7 +94,7 @@ def test_semi_implicit_cahn_hilliard_mode():
     m = sm.CahnHilliard(sigma=0.0, phi_cubic=0.0, phi_linear=0.0)
     b = m.make_basis(6)
     dt = 0.05
-    out = sv.step_semi_implicit(m, b, unit(6, 1), dt, np.zeros(6))
+    out = one_step(m, b, unit(6, 1), dt, "semi-implicit").c[0]
     assert out[1] == pytest.approx(1.0 / (1.0 + dt), rel=1e-14)  # lambda_2 = 1
 
 
@@ -93,7 +102,7 @@ def test_semi_implicit_needs_linear_part():
     m = sm.PLaplacian(4, 1.0, 0.0)
     b = m.make_basis(4)
     with pytest.raises(UnsupportedModelNormError):
-        sv.step_semi_implicit(m, b, unit(4), 0.01, np.zeros(4))
+        sv.start_block(m, b, unit(4), 1, 1, 0.01, "semi-implicit", 1)
 
 
 def test_stepper_consistency_order():
@@ -104,8 +113,8 @@ def test_stepper_consistency_order():
     c = sb.sample_coeffs(b, 1, seed=4)[0] * 0.1
     diffs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        e = sv.step_explicit_tamed(m, b, c, dt, np.zeros(4))
-        i = sv.step_semi_implicit(m, b, c, dt, np.zeros(4))
+        e = one_step(m, b, c, dt, "explicit-tamed").c[0]
+        i = one_step(m, b, c, dt, "semi-implicit").c[0]
         diffs.append(np.linalg.norm(e - i))
     assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
     assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.1)
@@ -402,3 +411,35 @@ def test_ensemble_block_holds_one_noise_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * sn.CHUNK_NORMALS * 8
+
+
+def test_run_blocks_order_and_chunk_lifetime(monkeypatch):
+    # finish results come back in block order at any thread count, and a
+    # block's noise buffer is dead by the time its finish runs
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
+    M, steps = 600, 23
+
+    def start(lo, hi):
+        return {"steps": 0}
+
+    def advance(state, chunk):
+        state["steps"] += len(chunk)
+        state["buffer"] = weakref.ref(chunk.base)
+
+    def finish(lo, hi, state):
+        return lo, hi, state["steps"], state["buffer"]() is None
+
+    for threads in (1, 2):
+        got = sv.run_blocks(M, 0, 2, steps, 1e-3, start, advance, finish,
+                            threads=threads)
+        assert got == [(0, 256, steps, True), (256, 512, steps, True),
+                       (512, 600, steps, True)]
+    with pytest.raises(ConfigError, match="M must be >= 1"):
+        sv.run_blocks(0, 0, 2, steps, 1e-3, start, advance, finish)
+
+
+@pytest.mark.parametrize("num,den", [(1.0, 0.0), (-2.0, 1.0), (math.nan, 1.0),
+                                     (math.inf, 1.0), (1.0, 1e-320), (3.0, 2.0)])
+def test_ratio_as_int_rejects(num, den):
+    with pytest.raises(ConfigError, match="t_end/dt"):
+        sv.ratio_as_int(num, den, "t_end/dt")

@@ -3,8 +3,9 @@
 benchmark/tracer.py wraps spde functions by name and reads their
 arguments and results.  A refactor that renames a wrapped function or
 reshapes what it takes or returns turns a metric into "unmeasured" or,
-worse, into a silent zero.  This test installs the tracer, runs a tiny
-`converge` and `moments`, and checks the counts against the work done.
+worse, into a silent zero.  These tests install the tracer, run a tiny
+`converge`, `moments`, `continuity` and `uniqueness`, and check the
+counts against the work done.
 """
 
 import importlib.util
@@ -71,3 +72,35 @@ def test_tracer_counts_converge_and_moments(tmp_path, tracer):
     assert counts["solver.path_steps"] == M * steps
     assert 0 < counts["noise.block_mb"] <= noise.CHUNK_NORMALS * 8 / 1e6
     assert counts["solver.blocks"] > 2          # chunk advances, not blocks
+
+
+def test_tracer_counts_continuity_and_uniqueness(tmp_path, tracer):
+    # both experiments step through solver._advance_block from inside
+    # solver.run_blocks callbacks; every step of every run must be counted
+    M, steps, n, eps = 20, 40, 8, [0.1, 0.05, 0.025]
+    cfg = tmp_path / "continuity.json"
+    cfg.write_text(
+        '{"command": "continuity", "model": {"name": "p-laplacian"},'
+        f' "basis": {{"n_modes": {n}}},'
+        f' "run": {{"t_end": 0.04, "dt": 0.001, "save_dt": 0.01, "paths": {M}}},'
+        f' "experiment": {{"perturbations": {eps}}}}}')
+    counts = run(tmp_path / "c", tracer, ["continuity", "--config", str(cfg)])
+    assert tracer.missing == []
+    assert counts["noise.normals"] == M * steps * n
+    assert counts["solver.path_steps"] == M * steps * (1 + len(eps))
+
+    # dt-refinement: each level d runs at d and d / 2, both from one path
+    # at half the finest level
+    t_end, dt_levels = 0.04, [0.004, 0.002]
+    cfg = tmp_path / "uniqueness.json"
+    cfg.write_text(
+        '{"command": "uniqueness", "model": {"name": "p-laplacian"},'
+        f' "basis": {{"n_modes": {n}}},'
+        f' "run": {{"t_end": {t_end}, "dt": 0.001, "save_dt": 0.008, "paths": {M}}},'
+        f' "experiment": {{"dt_levels": {dt_levels}}}}}')
+    counts = run(tmp_path / "u", tracer, ["uniqueness", "--config", str(cfg)])
+    assert tracer.missing == []
+    fine_steps = round(t_end / (min(dt_levels) / 2))
+    assert counts["noise.normals"] == M * fine_steps * n
+    assert counts["solver.path_steps"] == M * sum(round(t_end / d) * 3
+                                                  for d in dt_levels)
