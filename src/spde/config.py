@@ -2,8 +2,10 @@
 
 A config document has five sections (model, basis, run, experiment,
 out_dir) plus the command.  Unknown keys anywhere are errors, flags
-override file fields, model parameters and initial-data coefficients
-must be finite numbers, and the dt | save_dt | t_end divisibility
+override file fields, model parameters, moment exponents and
+initial-data coefficients must be finite numbers, the deltas,
+perturbations and dt levels non-empty lists of finite positive numbers,
+and the dt | save_dt | t_end divisibility
 contract is enforced up front so every downstream ratio is an exact
 integer.
 """
@@ -92,6 +94,16 @@ def _check_levels(value):
         raise ConfigError(
             f"experiment.levels must hold at least two distinct integers, got {value!r}")
     return levels
+
+
+def _positive_numbers(value, what):
+    """A non-empty list of finite positive numbers."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of numbers, got {value!r}")
+    for i, entry in enumerate(value):
+        _finite_number(entry, f"{what}[{i}]")
+        if entry <= 0:
+            raise ConfigError(f"{what}[{i}] must be positive, got {entry!r}")
 
 
 def _check_coefficients(value, what):
@@ -195,6 +207,12 @@ def load_config(path=None, flags=None):
     ratio_as_int(run["save_dt"], run["dt"], "save_dt/dt")
     ratio_as_int(run["t_end"], run["save_dt"], "t_end/save_dt")
 
+    for key in ("p", "alpha"):
+        if key in exp_sec:
+            _finite_number(exp_sec[key], f"experiment.{key}")
+    for key in ("deltas", "perturbations", "dt_levels"):
+        if key in exp_sec:
+            _positive_numbers(exp_sec[key], f"experiment.{key}")
     for key in ("x0", "direction"):
         if key in exp_sec:
             _check_coefficients(exp_sec[key], f"experiment.{key}")

@@ -24,6 +24,8 @@ _PERTURB_STREAM = 7919
 
 PROBE_MODES = ("dt-refinement", "stepper", "identical")
 
+REDUCE_VALUES = 2 ** 20     # grid values per slice of paths: 8 MiB per temporary
+
 
 @dataclass
 class DiagnosticTable:
@@ -92,15 +94,50 @@ def _row_max(vals):
 
 
 def _alive(ensemble):
-    """Surviving trajectories and the blown count; an ensemble in which
-    every path blew up has nothing to estimate from."""
-    trajs = [t for t in ensemble.trajectories if t.blew_up_at is None]
-    n_blown = ensemble.M - len(trajs)
-    if not trajs:
-        first = min(t.blew_up_at for t in ensemble.trajectories)
+    """The (M,) mask of paths that did not blow up, and the blown count;
+    an ensemble in which every path blew up has nothing to estimate from."""
+    alive = np.isnan(ensemble.blow_t)
+    n_blown = ensemble.M - int(np.count_nonzero(alive))
+    if not alive.any():
+        first = float(np.min(ensemble.blow_t))
         raise NonfiniteStateError(
             f"all {n_blown} paths blew up (the first at t={first:.6g})", time=first)
-    return trajs, n_blown
+    return alive, n_blown
+
+
+def _survivor_slices(ensemble, alive, width):
+    """The surviving paths' (k, S+1, n) states, k paths at a time with
+    k * (S+1) * width at most REDUCE_VALUES (at least one path), so that
+    a reduction's temporaries of last axis `width` stay bounded.  Each
+    path is reduced as a one-path array would be: the row reductions run
+    along the last axis and the matmuls path by path."""
+    idx = np.flatnonzero(alive)
+    k = max(1, REDUCE_VALUES // (ensemble.states.shape[1] * width))
+    for lo in range(0, idx.size, k):
+        yield ensemble.states[idx[lo:lo + k]]
+
+
+def _first_blowups(runs):
+    """Per path, the earliest blow-up time over `runs` (BlockRuns of the
+    same paths), NaN where every run stayed finite."""
+    return np.fmin.reduce([run.blow_t for run in runs])
+
+
+def _survivor_rows(keys, values, blow_t):
+    """Table rows (key, estimate, std error, M) from per-path statistics
+    values (rows, M) over the paths that did not blow up (blow_t NaN).
+    A survivor whose statistic is not finite in some row (its states near
+    overflow) counts as blown and leaves every row.  Returns the rows and
+    the blown count; with no path left, raises NonfiniteStateError."""
+    keep = np.isnan(blow_t) & np.all(np.isfinite(values), axis=0)
+    n_blown = int(np.count_nonzero(~keep))
+    if not keep.any():
+        times = blow_t[~np.isnan(blow_t)]
+        first = float(times.min()) if times.size else None
+        raise NonfiniteStateError(
+            f"all {n_blown} paths blew up or overflowed the statistic", time=first)
+    rows = [(float(k), *_mean_se(v[keep])) for k, v in zip(keys, values)]
+    return rows, n_blown
 
 
 def check_moment_exponent(model, p):
@@ -119,14 +156,16 @@ def moment_report(ensemble, p, alpha, model=None, basis=None):
     model = model or ensemble.model
     basis = basis or ensemble.basis
     check_moment_exponent(model, p)
-    trajs, n_blown = _alive(ensemble)
-    save_dt = trajs[0].save_dt
+    alive, n_blown = _alive(ensemble)
+    # the last powers are np.float64 scalar powers, as per path before;
+    # numpy's array power can round differently
     sup_p, vint_p = [], []
-    for t in trajs:
-        h = t.h_norms()
-        sup_p.append(np.max(h) ** p)
-        v = sb.v_norm(basis, model, t.states)
-        vint_p.append(np.trapezoid(v ** alpha, dx=save_dt) ** (p / 2.0))
+    for states in _survivor_slices(ensemble, alive, basis.grid_size):
+        sup = np.max(np.linalg.norm(states, axis=-1), axis=1)
+        vint = np.trapezoid(sb.v_norm(basis, model, states) ** alpha,
+                            dx=ensemble.save_dt, axis=1)
+        sup_p += [s ** p for s in sup]
+        vint_p += [v ** (p / 2.0) for v in vint]
     rows = [(0.0, *_mean_se(sup_p)), (1.0, *_mean_se(vint_p))]
     return DiagnosticTable(
         experiment="moments", rows=rows,
@@ -139,22 +178,23 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
 
     A survivor whose integral is not finite at some delta (its states
     near overflow) counts as blown and leaves every row."""
-    trajs, n_blown = _alive(ensemble)
-    save_dt = trajs[0].save_dt
-    n_saves = trajs[0].times.size - 1
+    alive, n_blown = _alive(ensemble)
+    save_dt = ensemble.save_dt
+    n_saves = ensemble.times.size - 1
     shifts = []
     for d in delta_list:
         k = int(round(d / save_dt))
         if k < 1 or abs(d - k * save_dt) > 1e-9 * max(d, save_dt) or k > n_saves:
             raise InvalidDeltaError(f"delta {d} is not a usable multiple of save_dt")
         shifts.append(k)
-    states = np.stack([t.states for t in trajs])     # (M, S+1, n)
-    integs = []
+    integs = [[] for _ in shifts]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in shifts:
-            diff = states[:, k:, :] - states[:, :-k or None, :]
-            vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)      # (M, S+1-k)
-            integs.append(np.trapezoid(vals, dx=save_dt, axis=1))
+        for states in _survivor_slices(ensemble, alive, ensemble.states.shape[-1]):
+            for out, k in zip(integs, shifts):
+                diff = states[:, k:, :] - states[:, :-k or None, :]
+                vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)  # (paths, S+1-k)
+                out.append(np.trapezoid(vals, dx=save_dt, axis=1))
+    integs = [np.concatenate(out) for out in integs]
     finite = np.all(np.isfinite(integs), axis=0)
     n_blown += int(np.count_nonzero(~finite))
     if not finite.any():
@@ -254,14 +294,18 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
             diff = run.pop_saves() - base_rows
             np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
 
-    sups = np.concatenate(
-        sv.run_blocks(M, seed, m, steps, dt, start, advance,
-                      lambda lo, hi, state: state[1] ** p, threads=threads),
-        axis=1)
-    rows = [(float(e), *_mean_se(sup)) for e, sup in zip(perturbation_sizes, sups)]
+    def finish(lo, hi, state):
+        runs, tops = state
+        return tops ** p, _first_blowups(runs)
+
+    sups, blow = zip(*sv.run_blocks(M, seed, m, steps, dt, start, advance, finish,
+                                    threads=threads))
+    rows, n_blown = _survivor_rows(perturbation_sizes, np.concatenate(sups, axis=1),
+                                   np.concatenate(blow))
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="continuity", rows=rows, fitted_rate=fit,
-                           extra={"p": p, "direction_norm": float(np.linalg.norm(d))})
+                           extra={"p": p, "direction_norm": float(np.linalg.norm(d)),
+                                  "n_blown": n_blown})
 
 
 def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
@@ -320,15 +364,20 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
             diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
             np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
 
+    def finish(lo, hi, state):
+        runs, tops = state
+        return ([tops[d] for d in dts],
+                _first_blowups([run for pair in runs.values() for run in pair]))
+
     # chunks hold whole coarse steps of every level
-    blocks = sv.run_blocks(M, seed, m, steps_fine, fine_dt, start, advance,
-                           lambda lo, hi, state: state[1],
-                           multiple=math.lcm(*factors), threads=threads)
-    rows = [(float(d), *_mean_se(np.concatenate([tops[d] for tops in blocks])))
-            for d in dts]
+    tops, blow = zip(*sv.run_blocks(M, seed, m, steps_fine, fine_dt, start, advance,
+                                    finish, multiple=math.lcm(*factors),
+                                    threads=threads))
+    rows, n_blown = _survivor_rows(dts, np.concatenate(tops, axis=1),
+                                   np.concatenate(blow))
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="uniqueness", rows=rows, fitted_rate=fit,
-                           extra={"mode": mode})
+                           extra={"mode": mode, "n_blown": n_blown})
 
 
 def write_table(table, csv_path, json_path=None, timestamp=None):

@@ -8,9 +8,13 @@ arranged so that only first derivatives of test functions appear for
 the quasilinear class.
 
 All drift/noise maps broadcast over leading axes of the coefficient
-array, so ensembles and audit batches evaluate in one call.
+array, so ensembles and audit batches evaluate in one call.  A model
+names the (n,) per-basis arrays its drift and noise read in
+`basis_constants`; `prepare` gives the solver a copy of the model with
+those arrays computed once per block and broadcast to the block's shape.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -76,6 +80,8 @@ class Model:
     v_weight_exponent = 1.0
     default_stepper = "semi-implicit"
 
+    _prepared = None           # (basis, constants) on a prepared copy
+
     def __init__(self, hypothesis):
         self.hypothesis = hypothesis
 
@@ -97,6 +103,32 @@ class Model:
     def linear_diagonal(self, basis):
         """Diagonal drift part L_k for the semi-implicit stepper, or None."""
         return None
+
+    def basis_constants(self, basis):
+        """The (n,) arrays, by name, that apply_A and apply_B_increment
+        derive from the basis alone."""
+        return {}
+
+    def prepare(self, basis, rows):
+        """A copy of the model for stepping `rows` paths on `basis`: the
+        basis is checked and basis_constants computed once, broadcast to
+        (rows, n), so each step's elementwise ops meet operands of one
+        shape.  Only the copy's apply_A and apply_B_increment read them,
+        and only with this basis and (rows, n) coefficients."""
+        self.check_basis(basis)
+        model = copy.copy(self)
+        model._prepared = (basis, {
+            k: np.repeat(np.asarray(v, float)[None, :], rows, axis=0)
+            for k, v in self.basis_constants(basis).items()})
+        return model
+
+    def _constants(self, basis):
+        """basis_constants(basis) for apply_A and apply_B_increment: read
+        from a copy prepared for this basis, else checked and computed."""
+        if self._prepared is not None and self._prepared[0] is basis:
+            return self._prepared[1]
+        self.check_basis(basis)
+        return self.basis_constants(basis)
 
     # drift ------------------------------------------------------------
     def apply_A(self, basis, t, coeffs):
@@ -127,23 +159,26 @@ class _DiagonalLipschitzNoise:
     Galerkin dimension.
     """
 
-    def _diag(self, basis, coeffs):
-        return self.sigma * (coeffs + 0.1 * np.sin(coeffs)) / (1.0 + basis.eigenvalues)
+    def basis_constants(self, basis):
+        return {**super().basis_constants(basis), "damping": 1.0 + basis.eigenvalues}
+
+    def _diag(self, damping, coeffs):
+        return self.sigma * (coeffs + 0.1 * np.sin(coeffs)) / damping
 
     def apply_B_increment(self, basis, t, coeffs, dw):
-        self.check_basis(basis)
+        damping = self._constants(basis)["damping"]
         c, _ = _as_batch(coeffs)
-        m = basis.n_modes
-        return self._diag(basis, c) * np.asarray(dw)[..., :m]
+        return self._diag(damping, c) * np.asarray(dw)[..., :basis.n_modes]
 
     def b_hs_norm_sq(self, basis, t, coeffs):
         c, _ = _as_batch(coeffs)
-        g = self._diag(basis, c)
+        g = self._diag(self.basis_constants(basis)["damping"], c)
         return np.sum(g * g, axis=-1)
 
     def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        du = self._diag(basis, np.asarray(coeffs_u, float))
-        dv = self._diag(basis, np.asarray(coeffs_v, float))
+        damping = self.basis_constants(basis)["damping"]
+        du = self._diag(damping, np.asarray(coeffs_u, float))
+        dv = self._diag(damping, np.asarray(coeffs_v, float))
         return np.sum((du - dv) ** 2, axis=-1)
 
 
@@ -173,24 +208,23 @@ class HeatOU(Model):
     def linear_diagonal(self, basis):
         return -basis.eigenvalues
 
-    def apply_A(self, basis, t, coeffs):
-        self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        return -basis.eigenvalues * c
+    def basis_constants(self, basis):
+        return {"drift": -basis.eigenvalues,
+                "amps": self.sigma / (1.0 + basis.eigenvalues)}
 
-    def _amps(self, basis):
-        return self.sigma / (1.0 + basis.eigenvalues)
+    def apply_A(self, basis, t, coeffs):
+        drift = self._constants(basis)["drift"]
+        c, _ = _as_batch(coeffs)
+        return drift * c
 
     def apply_B_increment(self, basis, t, coeffs, dw):
-        self.check_basis(basis)
-        b = self._amps(basis)
-        out = b * np.asarray(dw)[..., :basis.n_modes]
+        out = self._constants(basis)["amps"] * np.asarray(dw)[..., :basis.n_modes]
         c, _ = _as_batch(coeffs)
         return np.broadcast_to(out, c.shape).copy() if out.shape != c.shape else out
 
     def b_hs_norm_sq(self, basis, t, coeffs):
         c, _ = _as_batch(coeffs)
-        val = float(np.sum(self._amps(basis) ** 2))
+        val = float(np.sum(self.basis_constants(basis)["amps"] ** 2))
         return np.full(c.shape[:-1], val) if c.ndim > 1 else val
 
     def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
@@ -373,10 +407,13 @@ class GradientNoiseHeat(Model):
     def noise_modes(self, basis):
         return 1
 
+    def basis_constants(self, basis):
+        return {"drift": -basis.eigenvalues}
+
     def apply_A(self, basis, t, coeffs):
-        self.check_basis(basis)
+        drift = self._constants(basis)["drift"]
         c, _ = _as_batch(coeffs)
-        return -basis.eigenvalues * c
+        return drift * c
 
     def _projected_gradient(self, basis, coeffs):
         return sb.analyze(basis, coeffs @ basis.dfns)

@@ -13,8 +13,19 @@ ensemble experiment shares: the block spans, the worker threads, each
 block's noise stream (time-major chunks (k, M, m) from
 noise.stream_block) and the chunk's lifetime.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
-and finish the block once its noise buffer is dropped.  `_advance_block`
-carries a block's state (a BlockRun) from chunk to chunk, so memory
+and finish the block once its noise buffer is dropped.
+
+`start_block` prepares a block once.  Its BlockRun holds the stepper's
+diagonal L and the denominator 1 - dt*L broadcast to the block's (M, n)
+shape, and a prepared copy of the model (Model.prepare) whose per-basis
+constants are broadcast the same way, so no step recomputes them or
+broadcasts an (n,) vector against the block.  The steps still call the
+model's own apply_A and apply_B_increment, so each model's physics lives
+in one place and a model that defines only those two methods steps
+as it is.  The arithmetic, and so every bit, is that of the same
+expressions on (n,) constants.
+
+`_advance_block` carries a block's state from chunk to chunk, so memory
 holds one chunk rather than the block's whole noise.  A run keeps its
 whole save grid, or, windowed, only the save rows of its latest chunk,
 for consumers that fold the rows into a running statistic as they go.
@@ -82,24 +93,41 @@ class Trajectory:
 
 @dataclass
 class TrajectoryEnsemble:
-    trajectories: list
+    """M paths on one save grid, kept as arrays: states (M, S+1, n), NaN
+    from a path's blow-up on, and blow_t (M,), the blow-up times, NaN for
+    paths that stayed finite."""
+
+    states: np.ndarray
+    blow_t: np.ndarray
+    times: np.ndarray          # (S+1,)
+    save_dt: float
     model: object = None
     basis: object = None
+    stepper: str = None
+    seed: int = 0
+    m_modes: int = 0
 
     @property
     def M(self):
-        return len(self.trajectories)
+        return len(self.states)
 
     @property
-    def times(self):
-        return self.trajectories[0].times
+    def trajectories(self):
+        """One Trajectory per path, built on each read; its states are a
+        view of the ensemble's."""
+        return [Trajectory(times=self.times, states=self.states[i],
+                           model_name=self.model.name, n_modes=self.states.shape[-1],
+                           stepper=self.stepper, save_dt=self.save_dt,
+                           seed=self.seed, path_id=i, m_modes=self.m_modes,
+                           blew_up_at=None if np.isnan(b) else float(b))
+                for i, b in enumerate(self.blow_t)]
 
     def stacked(self):
-        """(M, S+1, n) coefficient array over surviving paths."""
-        return np.stack([t.states for t in self.trajectories])
+        """The (M, S+1, n) states, not a copy."""
+        return self.states
 
     def blown_count(self):
-        return sum(1 for t in self.trajectories if t.blew_up_at is not None)
+        return int(np.count_nonzero(~np.isnan(self.blow_t)))
 
 
 def fit_noise_columns(increments, needed):
@@ -120,13 +148,15 @@ class BlockRun:
     """A block of paths part-way through its integration: what
     `_advance_block` carries from one chunk of increments to the next."""
 
+    model: object              # the model as prepared for the block's basis and M
     c: np.ndarray              # (M, n) current coefficients
     saved: np.ndarray          # (M, rows, n) save-grid states, NaN past blow-up
     blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
     alive: np.ndarray          # (M,) bool
     dt: float
     save_every: int
-    L: np.ndarray = None       # diagonal linear part when semi-implicit
+    L: np.ndarray = None       # (M, n) diagonal linear part when semi-implicit
+    denom: np.ndarray = None   # (M, n) 1 - dt*L
     step: int = 0              # global index of the next step
     window: bool = False       # saved holds only the latest chunk's rows
     row0: int = 0              # save-grid index of saved[:, 0]
@@ -160,37 +190,44 @@ def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
                 window=False):
     """A BlockRun of M copies of the coefficient vector x0 at t = 0, with
     room for the saves of n_steps steps, or with window=True for the save
-    rows of one chunk at a time (see BlockRun.pop_saves)."""
-    L = None
+    rows of one chunk at a time (see BlockRun.pop_saves).  The run holds
+    the model prepared for `basis` and M rows, and the semi-implicit L
+    and 1 - dt*L broadcast to (M, n)."""
+    L = denom = None
     if stepper == "semi-implicit":
         L = model.linear_diagonal(basis)
         if L is None:
             raise UnsupportedModelNormError(
                 f"{model.name} declares no diagonal linear part")
+        L = np.repeat(np.asarray(L, float)[None, :], M, axis=0)
+        denom = 1.0 - dt * L
     c = np.repeat(np.asarray(x0, float)[None, :], M, axis=0)
     saved = None
     if not window:
         saved = np.empty((M, n_steps // save_every + 1, c.shape[-1]))
         saved[:, 0] = c
-    return BlockRun(c=c, saved=saved, blow_t=np.full(M, np.nan),
-                    alive=np.ones(M, bool), dt=dt, save_every=save_every, L=L,
-                    window=window)
+    return BlockRun(model=model.prepare(basis, M), c=c, saved=saved,
+                    blow_t=np.full(M, np.nan), alive=np.ones(M, bool), dt=dt,
+                    save_every=save_every, L=L, denom=denom, window=window)
 
 
 def _advance_block(model, basis, run, increments):
     """Advance `run` in place through one time-major chunk of increments
-    (k, M, m).  Rows that turn non-finite get their blow-up time and are
-    NaN on the save grid from then on."""
+    (k, M, m).  `model` and `basis` are those the run was started with;
+    the steps call the run's prepared copy of the model.  Rows that turn
+    non-finite get their blow-up time and are NaN on the save grid from
+    then on."""
     increments = fit_noise_columns(increments, model.noise_modes(basis))
     if run.window:
         run.open_window(len(increments))
-    c, L, dt, save_every = run.c, run.L, run.dt, run.save_every
+    model, c, L, denom = run.model, run.c, run.L, run.denom
+    dt, save_every = run.dt, run.save_every
     for j, dw in enumerate(increments, start=run.step):
         t = j * dt
         a = model.apply_A(basis, t, c)
         binc = model.apply_B_increment(basis, t, c, dw)
         if L is not None:
-            c = (c + dt * (a - L * c) + binc) / (1.0 - dt * L)
+            c = (c + dt * (a - L * c) + binc) / denom
         else:
             tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
             c = c + dt * a / tame + binc
@@ -326,12 +363,9 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                 f"path {pid} blew up at t={all_blow[pid]:.6g}",
                 time=float(all_blow[pid]), path_id=pid)
 
-    trajs = [Trajectory(times=times, states=all_states[i], model_name=model.name,
-                        n_modes=basis.n_modes, stepper=stepper, save_dt=save_dt,
-                        seed=seed, path_id=i, m_modes=m,
-                        blew_up_at=None if np.isnan(all_blow[i]) else float(all_blow[i]))
-             for i in range(M)]
-    return TrajectoryEnsemble(trajectories=trajs, model=model, basis=basis)
+    return TrajectoryEnsemble(states=all_states, blow_t=all_blow, times=times,
+                              save_dt=save_dt, model=model, basis=basis,
+                              stepper=stepper, seed=seed, m_modes=m)
 
 
 def trajectory_csv_rows(traj, model, basis):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -327,6 +328,26 @@ def test_cli_equicontinuity_overflowing_survivors_exit_blowup(tmp_path, capsys):
     assert not (out / "equicontinuity.csv").exists()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("continuity", ["--save-dt", "1e-2"]),
+    ("uniqueness", ["--save-dt", "8e-2"]),
+])
+def test_cli_continuity_and_uniqueness_overflow_exit_blowup(tmp_path, capsys, command,
+                                                            extra):
+    # of these 300 paths, some blow up by t = 3.5 and the survivors' sup
+    # statistics overflow: no path is left, which used to print NaN rows
+    out = tmp_path / "o"
+    code = cli.main([command, "--model", "gradient-noise-heat", "--nu", "30",
+                     "--n-modes", "8", "--paths", "300", "--dt", "1e-2",
+                     "--t-end", "3.2" if command == "uniqueness" else "3.5",
+                     "--seed", "2", *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BLOWUP
+    assert "all 300 paths blew up or overflowed" in captured.err
+    assert "Traceback" not in captured.err and "nan" not in captured.out
+    assert not (out / f"{command}.csv").exists()
+
+
 @pytest.mark.parametrize("key,value,needle", [
     ("dt", "abc", "run.dt must be a finite number"),
     ("dt", None, "run.dt must be a finite number"),
@@ -369,3 +390,47 @@ def test_cli_large_estimates_get_finite_std_errors(tmp_path):
     rows = json.loads(summary)["rows"]
     assert len(rows) == 5 and all(1e189 < est < 1e193 and 0 < se < est
                                   for _, est, se, _ in rows)
+
+
+@pytest.mark.parametrize("command,key,value,needle", [
+    ("moments", "p", "abc", "experiment.p must be a finite number"),
+    ("moments", "alpha", "abc", "experiment.alpha must be a finite number"),
+    ("equicontinuity", "deltas", [0.002, "x"], "experiment.deltas[1] must be a finite"),
+    ("continuity", "perturbations", [0.1, -0.05],
+     "experiment.perturbations[1] must be positive"),
+    ("uniqueness", "dt_levels", "abc", "experiment.dt_levels must be a non-empty list"),
+])
+def test_cli_rejects_bad_experiment_numbers(tmp_path, capsys, command, key, value,
+                                            needle):
+    path = write_cfg(tmp_path, {"command": command, "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4},
+                                "run": {"t_end": 0.08, "dt": 1e-3, "paths": 4},
+                                "experiment": {key: value}})
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code, needle)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["deltas", "perturbations", "dt_levels"])
+@pytest.mark.parametrize("value", [[], [0.0], [float("nan")], [True], 0.01, None])
+def test_config_rejects_bad_positive_lists(tmp_path, key, value):
+    path = write_cfg(tmp_path, {"command": "moments", "model": {"name": "heat-ou"},
+                                "experiment": {key: value}})
+    with pytest.raises(ConfigError, match=f"experiment.{key}"):
+        load_config(path)
+
+
+def test_heat_ou_moments_golden_bytes(tmp_path):
+    # a scaled-down benchmark ensemble-ou run: 300 paths (one full block
+    # and a tail block) x 200 steps.  Heat-ou steps with elementwise IEEE
+    # operations on Philox normals alone, so these bytes hold on any
+    # machine; the hash pins the output of the step before its block
+    # constants were prepared once per block
+    out = tmp_path / "m"
+    code = cli.main(["moments", "--model", "heat-ou", "--n-modes", "4",
+                     "--paths", "300", "--t-end", "0.2", "--dt", "1e-3",
+                     "--save-dt", "0.2", "--x0", "zero", "--p", "2", "--seed", "5",
+                     "--threads", "1", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    digest = hashlib.sha256((out / "moments.csv").read_bytes()).hexdigest()
+    assert digest == "ac1ec309c4f0db798e0868351775c39f415148f1c837c40377b556807e83ca62"

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spde import basis as sb
 from spde import diagnostics as dg
 from spde import models as sm
 from spde import noise as sn
@@ -215,9 +217,8 @@ def test_write_table(tmp_path):
 
 def all_blown_ensemble(M=3):
     m, b, ens = heat_ensemble(M=M, t_end=0.1)
-    for i, t in enumerate(ens.trajectories):
-        t.blew_up_at = 0.05 + 0.01 * i
-        t.states[5:] = np.nan
+    ens.blow_t[:] = 0.05 + 0.01 * np.arange(M)
+    ens.states[:, 5:] = np.nan
     return ens
 
 
@@ -236,7 +237,8 @@ def test_equicontinuity_drops_survivors_with_nonfinite_statistic():
     m, b, ens = heat_ensemble(M=40, t_end=0.5)
     deltas = [0.02, 0.04]
     ref = dg.equicontinuity_statistic(
-        sv.TrajectoryEnsemble(ens.trajectories[1:], m, b), deltas, alpha=2)
+        dataclasses.replace(ens, states=ens.states[1:], blow_t=ens.blow_t[1:]),
+        deltas, alpha=2)
     ens.trajectories[0].states[-1] = 1e200
     tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
     assert tab.extra["n_blown"] == 1
@@ -366,3 +368,83 @@ def test_mean_se_scales_before_squaring():
     est, se, m = dg._mean_se([1e190, 3e190])
     assert est == 2e190 and se == pytest.approx(1e190, rel=1e-12) and m == 2
     assert dg._mean_se([0.0, 0.0]) == (0.0, 0.0, 2)
+
+
+class QuadraticOU(sm.HeatOU):
+    """Heat-ou plus an explicit drift 4 c|c|: a path that the noise carries
+    past |c_k| = lambda_k / 4 blows up, and the others stay of order one."""
+
+    name = "quadratic-ou"
+
+    def apply_A(self, basis, t, coeffs):
+        c = np.asarray(coeffs, float)
+        return super().apply_A(basis, t, c) + 4.0 * c * np.abs(c)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_continuity_and_uniqueness_count_blowups():
+    # a few of these 40 paths blow up before t = 1; the rows are taken over
+    # the rest, and count them, instead of turning NaN
+    m = QuadraticOU(0.8)
+    b = m.make_basis(4)
+    kw = dict(M=40, seed=2, t_end=1.0)
+    ens = sv.solve_ensemble(m, b, np.zeros(4), dt=1e-2, save_dt=1e-2,
+                            on_blowup="discard", **kw)
+    base_blown = ens.blown_count()
+    assert base_blown > 0
+    cont = dg.initial_data_continuity(m, b, np.zeros(4), unit(4), [0.1, 0.05], 2.0,
+                                      dt=1e-2, **kw)
+    # the dt = 0.02 level runs against dt / 2 = 1e-2, the ensemble's step
+    uniq = dg.uniqueness_probe(m, b, np.zeros(4), dt_levels=[0.04, 0.02],
+                               save_dt=0.04, **kw)
+    for tab in (cont, uniq):
+        n_blown = tab.extra["n_blown"]
+        assert base_blown <= n_blown < 40
+        for _, est, se, M in tab.rows:
+            assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_continuity_and_uniqueness_all_blown_raise():
+    m = sm.GradientNoiseHeat(nu=30.0)
+    b = m.make_basis(8)
+    kw = dict(M=20, seed=2, t_end=5.12)
+    with pytest.raises(NonfiniteStateError, match="all 20 paths blew up") as ei:
+        dg.initial_data_continuity(m, b, unit(8), unit(8), [0.1], 2.0, dt=1e-2, **kw)
+    assert ei.value.time is not None
+    with pytest.raises(NonfiniteStateError, match="all 20 paths blew up"):
+        dg.uniqueness_probe(m, b, unit(8), dt_levels=[0.08, 0.04], save_dt=0.08, **kw)
+
+
+def per_path_moments(ens, p, alpha):
+    """moment_report's rows by one path at a time, over the survivors."""
+    sup_p, vint_p = [], []
+    for t in ens.trajectories:
+        if t.blew_up_at is None:
+            sup_p.append(np.max(t.h_norms()) ** p)
+            v = sb.v_norm(ens.basis, ens.model, t.states)
+            vint_p.append(np.trapezoid(v ** alpha, dx=t.save_dt) ** (p / 2.0))
+    return [(0.0, *dg._mean_se(sup_p)), (1.0, *dg._mean_se(vint_p))]
+
+
+@pytest.mark.parametrize("model,n,save_dt", [
+    (sm.HeatOU(0.5), 4, 0.2), (sm.HeatOU(0.5), 16, 0.02),
+    (sm.PLaplacian(4.0, 1.0, 0.5), 16, 1e-3), (sm.PLaplacian(3.0, 1.0, 0.5), 32, 0.02),
+])
+def test_moment_report_matches_per_path_reference(monkeypatch, model, n, save_dt):
+    # the vectorised reductions give each path's bits as a one-path array
+    # does, whole or in slices of paths, and with blown paths left out
+    b = model.make_basis(n)
+    ens = sv.solve_ensemble(model, b, 0.5 / (1.0 + np.arange(n)) ** 2, M=300, seed=5,
+                            t_end=0.2, dt=1e-3, save_dt=save_dt)
+    for p in (2.0, 3.0):
+        ref = per_path_moments(ens, p, model.alpha)
+        assert dg.moment_report(ens, p, model.alpha).rows == ref
+    monkeypatch.setattr(dg, "REDUCE_VALUES", 7 * ens.states.shape[1] * b.grid_size)
+    assert dg.moment_report(ens, 2.0, model.alpha).rows == per_path_moments(ens, 2.0,
+                                                                             model.alpha)
+    ens.blow_t[[3, 100, 299]] = 0.1
+    ens.states[[3, 100, 299], -1] = np.nan
+    tab = dg.moment_report(ens, 2.0, model.alpha)
+    assert tab.rows == per_path_moments(ens, 2.0, model.alpha)
+    assert tab.extra["n_blown"] == 3 and tab.rows[0][3] == 297

@@ -443,3 +443,39 @@ def test_run_blocks_order_and_chunk_lifetime(monkeypatch):
 def test_ratio_as_int_rejects(num, den):
     with pytest.raises(ConfigError, match="t_end/dt"):
         sv.ratio_as_int(num, den, "t_end/dt")
+
+
+def reference_block(model, basis, x0, inc, dt, stepper):
+    """The step before block preparation, op for op: the unprepared model's
+    apply_A / apply_B_increment, and L and 1 - dt*L as (n,) vectors
+    broadcast against the block at every step.  Returns (M, steps+1, n)."""
+    c = np.repeat(x0[None, :], inc.shape[1], axis=0)
+    L = model.linear_diagonal(basis) if stepper == "semi-implicit" else None
+    states = [c]
+    for j, dw in enumerate(inc):
+        t = j * dt
+        a = model.apply_A(basis, t, c)
+        binc = model.apply_B_increment(basis, t, c, dw)
+        if L is not None:
+            c = (c + dt * (a - L * c) + binc) / (1.0 - dt * L)
+        else:
+            tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
+            c = c + dt * a / tame + binc
+        states.append(c)
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 37, 256])
+@pytest.mark.parametrize("name,stepper", ZOO_STEPPERS)
+def test_prepared_step_matches_unprepared_reference(name, stepper, rows):
+    m = sm.build_model(name)
+    b = m.make_basis(8)
+    steps, dt = 24, 1e-3
+    inc = sn.sample_block([sn.path_generator(4, pid) for pid in range(rows)],
+                          steps, m.noise_modes(b), dt)
+    x0 = 0.5 / (1.0 + np.arange(8)) ** 2
+    ref = reference_block(m, b, x0, inc, dt, stepper)
+    run = chunked_run(m, b, x0, inc, dt, stepper, 1, [5, 11])
+    assert np.all(np.isfinite(ref))
+    assert np.array_equal(run.saved, ref)
+    assert type(run.model) is type(m) and m._prepared is None

@@ -72,6 +72,9 @@ def test_tracer_counts_converge_and_moments(tmp_path, tracer):
     assert counts["solver.path_steps"] == M * steps
     assert 0 < counts["noise.block_mb"] <= noise.CHUNK_NORMALS * 8 / 1e6
     assert counts["solver.blocks"] > 2          # chunk advances, not blocks
+    # every step goes through the (prepared) model's own methods
+    assert counts["models.apply_A.rows"] == M * steps
+    assert counts["models.apply_B_increment.rows"] == M * steps
 
 
 def test_tracer_counts_continuity_and_uniqueness(tmp_path, tracer):
