@@ -167,7 +167,7 @@ def run(cfg):
         mode = cfg.experiment.get("mode", "dt-refinement")
         table = dg.uniqueness_probe(
             model, basis, _x0(cfg, basis.n_modes), run_sec["paths"], seed,
-            dt_levels, run_sec["t_end"], run_sec["save_dt"], stepper, mode,
+            dt_levels, run_sec["t_end"], run_sec.get("save_dt"), stepper, mode,
             threads=threads)
         name = "uniqueness"
     else:

@@ -188,7 +188,8 @@ def load_config(path=None, flags=None):
 
     basis = {**_DEFAULTS["basis"], **basis_sec}
     run = {**_DEFAULTS["run"], **run_sec}
-    run.setdefault("save_dt", run["dt"])
+    if command != "uniqueness":     # which defaults it to its coarsest dt level
+        run.setdefault("save_dt", run["dt"])
 
     basis["n_modes"] = _integer(basis["n_modes"], "basis.n_modes")
     if basis.get("grid_size") is not None:
@@ -203,9 +204,11 @@ def load_config(path=None, flags=None):
         raise ConfigError(f"unknown stepper {run['stepper']!r}")
 
     for key in ("t_end", "dt", "save_dt"):
-        _finite_number(run[key], f"run.{key}")
-    ratio_as_int(run["save_dt"], run["dt"], "save_dt/dt")
-    ratio_as_int(run["t_end"], run["save_dt"], "t_end/save_dt")
+        if key in run:
+            _finite_number(run[key], f"run.{key}")
+    save_dt = run.get("save_dt", run["dt"])
+    ratio_as_int(save_dt, run["dt"], "save_dt/dt")
+    ratio_as_int(run["t_end"], save_dt, "t_end/save_dt")
 
     for key in ("p", "alpha"):
         if key in exp_sec:

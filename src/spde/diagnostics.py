@@ -8,7 +8,6 @@ stopping times; the count is itself part of the diagnostic.  sup over
 on the save grid.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -217,9 +216,10 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     directions); every level consumes its leading columns, so all levels
     see the same realization.  States are compared after zero-padding to
     the finer space; rows are keyed by the coarser dimension n and
-    estimate E int_0^T ||X_n - X_2n||_H^alpha dt.  Blocks of paths run
-    on `threads` workers (solver.run_blocks); the table does not depend
-    on the count.
+    estimate E int_0^T ||X_n - X_2n||_H^alpha dt over the paths that
+    stayed finite at every level; the others are counted in n_blown
+    (_survivor_rows).  Blocks of paths run on `threads` workers
+    (solver.run_blocks); the table does not depend on the count.
     """
     alpha = alpha if alpha is not None else model.alpha
     save_dt = save_dt if save_dt is not None else dt
@@ -242,26 +242,22 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
             sv._advance_block(model, bases[n], runs[n], chunk)
 
     def finish(lo, hi, runs):
-        for n in levels:
-            blow = runs[n].blow_t
-            if np.any(np.isfinite(blow)):
-                raise NonfiniteStateError("blow-up in convergence study",
-                                          time=float(np.nanmin(blow)))
         errs = []
         for a, bn in zip(levels[:-1], levels[1:]):
             diff = runs[bn].saved.copy()
             diff[:, :, :a] -= runs[a].saved
             vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)
             errs.append(np.trapezoid(vals, dx=save_dt, axis=1))
-        return errs
+        return errs, _first_blowups(runs.values())
 
-    blocks = sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
-                           threads=threads)
-    rows = [(float(n), *_mean_se(np.concatenate(errs)))
-            for n, errs in zip(levels[:-1], zip(*blocks))]
+    errs, blow = zip(*sv.run_blocks(M, seed, m_fine, steps, dt, start, advance,
+                                    finish, threads=threads))
+    rows, n_blown = _survivor_rows(levels[:-1], np.concatenate(errs, axis=1),
+                                   np.concatenate(blow))
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="converge", rows=rows, fitted_rate=fit,
-                           extra={"alpha": alpha, "levels": list(map(int, levels))})
+                           extra={"alpha": alpha, "levels": list(map(int, levels)),
+                                  "n_blown": n_blown})
 
 
 def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
@@ -380,16 +376,8 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
                            extra={"mode": mode, "n_blown": n_blown})
 
 
-def write_table(table, csv_path, json_path=None, timestamp=None):
-    """One CSV per experiment plus a JSON summary with fitted rates."""
-    rows = table.csv_rows()
+def write_table(table, csv_path):
+    """The experiment's table as one CSV."""
     with open(csv_path, "w", newline="") as f:
-        for r in rows:
+        for r in table.csv_rows():
             f.write(",".join(r) + "\n")
-    if json_path is not None:
-        d = table.summary_dict()
-        if timestamp is not None:
-            d["timestamp"] = timestamp
-        with open(json_path, "w") as f:
-            json.dump(d, f, indent=2, sort_keys=True)
-            f.write("\n")

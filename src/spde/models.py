@@ -1,17 +1,23 @@
 """Model zoo: drift A, noise B, exponents and declared hypothesis constants.
 
-Every model works in Galerkin coordinates on the basis it declares.
-Linear parts act diagonally with the analytic eigenvalues; nonlinear
-parts are evaluated by collocation (synthesize, apply the pointwise
-nonlinearity, project back by quadrature), with integration by parts
-arranged so that only first derivatives of test functions appear for
-the quasilinear class.
+Every model works in Galerkin coordinates on the basis it declares and
+declares its physics, A(u) = D u + (G(u))_xx + (F(u, u_x))_x - S(u) and
+B(u) dW = g(u) dW, in up to five parts: drift_diagonal(basis), the (n,)
+diagonal D; potential(u), flux(u, u_x) and source(u), the grid values of
+G, F and S (a grid part may return None for zero); noise_field(basis, c),
+the field g(u), broadcasting against c.  A part left as None is skipped.
+
+`Model` does the transforms: apply_A synthesizes u once (u_x only for a
+flux) and returns D c - lambda (G, e) - (F, e') - (S, e), by quadrature
+on the grid, through e_k'' = -lambda_k e_k and one integration by parts;
+apply_B_increment is g dW[..., :noise_modes], and the Hilbert-Schmidt
+norms are the sums of g^2 and (g(u) - g(v))^2.
 
 All drift/noise maps broadcast over leading axes of the coefficient
 array, so ensembles and audit batches evaluate in one call.  A model
-names the (n,) per-basis arrays its drift and noise read in
-`basis_constants`; `prepare` gives the solver a copy of the model with
-those arrays computed once per block and broadcast to the block's shape.
+names the (n,) per-basis arrays its parts read in `basis_constants` (D
+as "drift"); `prepare` gives the solver a copy of the model with those
+arrays computed once per block and broadcast to the block's shape.
 """
 
 import copy
@@ -71,7 +77,8 @@ class HypothesisSpec:
 
 
 class Model:
-    """Base class; subclasses fill in drift/noise in coordinates."""
+    """Base class: subclasses declare their physics (module docstring);
+    apply_A, apply_B_increment and the noise norms are derived from it."""
 
     name = "abstract"
     alpha = 2.0
@@ -79,6 +86,12 @@ class Model:
     v_norm_kind = "spectral"
     v_weight_exponent = 1.0
     default_stepper = "semi-implicit"
+
+    drift_diagonal = None      # (basis) -> (n,) D
+    potential = None           # (u) -> G(u) on the grid
+    flux = None                # (u, u_x) -> F(u, u_x) on the grid
+    source = None              # (u) -> S(u) on the grid
+    noise_field = None         # (basis, c) -> g(u)
 
     _prepared = None           # (basis, constants) on a prepared copy
 
@@ -102,19 +115,19 @@ class Model:
 
     def linear_diagonal(self, basis):
         """Diagonal drift part L_k for the semi-implicit stepper, or None."""
-        return None
+        return None if self.drift_diagonal is None else self.drift_diagonal(basis)
 
     def basis_constants(self, basis):
-        """The (n,) arrays, by name, that apply_A and apply_B_increment
-        derive from the basis alone."""
-        return {}
+        """The (n,) arrays, by name, that the declared parts derive from
+        the basis alone."""
+        return {} if self.drift_diagonal is None else {"drift": self.drift_diagonal(basis)}
 
     def prepare(self, basis, rows):
         """A copy of the model for stepping `rows` paths on `basis`: the
         basis is checked and basis_constants computed once, broadcast to
         (rows, n), so each step's elementwise ops meet operands of one
-        shape.  Only the copy's apply_A and apply_B_increment read them,
-        and only with this basis and (rows, n) coefficients."""
+        shape.  Only the copy's drift and noise maps read them, and only
+        with this basis and (rows, n) coefficients."""
         self.check_basis(basis)
         model = copy.copy(self)
         model._prepared = (basis, {
@@ -123,8 +136,8 @@ class Model:
         return model
 
     def _constants(self, basis):
-        """basis_constants(basis) for apply_A and apply_B_increment: read
-        from a copy prepared for this basis, else checked and computed."""
+        """basis_constants(basis) for the drift and noise maps: read from
+        a copy prepared for this basis, else checked and computed."""
         if self._prepared is not None and self._prepared[0] is basis:
             return self._prepared[1]
         self.check_basis(basis)
@@ -132,22 +145,56 @@ class Model:
 
     # drift ------------------------------------------------------------
     def apply_A(self, basis, t, coeffs):
-        raise NotImplementedError
+        """D c - lambda (G, e) - (F, e') - (S, e) over the declared parts."""
+        c = np.asarray(coeffs, float)
+        drift = self._constants(basis).get("drift")
+        out = None if drift is None else drift * c
+        if self.potential or self.flux or self.source:
+            u = c @ basis.fns
+            if self.potential:
+                out = _minus_pairing(out, self.potential(u), basis, basis.fns,
+                                     basis.eigenvalues)
+            if self.flux:
+                out = _minus_pairing(out, self.flux(u, c @ basis.dfns), basis,
+                                     basis.dfns)
+            if self.source:
+                out = _minus_pairing(out, self.source(u), basis, basis.fns)
+        return np.zeros_like(c) if out is None else out
 
     # noise ------------------------------------------------------------
-    def apply_B_increment(self, basis, t, coeffs, dw):
-        raise NotImplementedError
+    def _noise(self, basis, coeffs):
+        """g(u) for coefficients c; zeros for a model without noise."""
+        c = np.asarray(coeffs, float)
+        return np.zeros_like(c) if self.noise_field is None else self.noise_field(basis, c)
 
+    def apply_B_increment(self, basis, t, coeffs, dw):
+        c = np.asarray(coeffs, float)
+        if self.noise_field is None:        # +0.0, where 0 * dw can be -0.0
+            return np.zeros_like(c)
+        return self.noise_field(basis, c) * np.asarray(dw)[..., :self.noise_modes(basis)]
+
+    # a g that does not depend on u (additive noise) has shape (n,); adding
+    # zeros, which is exact, gives its norm the coefficients' leading shape
     def b_hs_norm_sq(self, basis, t, coeffs):
-        raise NotImplementedError
+        c = np.asarray(coeffs, float)
+        g = self._noise(basis, c)
+        return np.sum(g * g, axis=-1) + np.zeros(c.shape[:-1])
 
     def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        raise NotImplementedError
+        u = np.asarray(coeffs_u, float)
+        d = self._noise(basis, u) - self._noise(basis, coeffs_v)
+        return np.sum(d * d, axis=-1) + np.zeros(u.shape[:-1])
 
 
-def _as_batch(coeffs):
-    c = np.asarray(coeffs, float)
-    return c, c.ndim == 1
+def _minus_pairing(out, field, basis, fns, scale=None):
+    """out - scale * (field, fns) with the pairing by quadrature; a field
+    of None is skipped, and an out of None stands for zero."""
+    if field is None:
+        return out
+    term = (field * basis.weights) @ fns.T
+    if scale is not None:
+        term = scale * term
+    return np.negative(term, out=term) if out is None else out - term
 
 
 class _DiagonalLipschitzNoise:
@@ -162,24 +209,8 @@ class _DiagonalLipschitzNoise:
     def basis_constants(self, basis):
         return {**super().basis_constants(basis), "damping": 1.0 + basis.eigenvalues}
 
-    def _diag(self, damping, coeffs):
-        return self.sigma * (coeffs + 0.1 * np.sin(coeffs)) / damping
-
-    def apply_B_increment(self, basis, t, coeffs, dw):
-        damping = self._constants(basis)["damping"]
-        c, _ = _as_batch(coeffs)
-        return self._diag(damping, c) * np.asarray(dw)[..., :basis.n_modes]
-
-    def b_hs_norm_sq(self, basis, t, coeffs):
-        c, _ = _as_batch(coeffs)
-        g = self._diag(self.basis_constants(basis)["damping"], c)
-        return np.sum(g * g, axis=-1)
-
-    def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        damping = self.basis_constants(basis)["damping"]
-        du = self._diag(damping, np.asarray(coeffs_u, float))
-        dv = self._diag(damping, np.asarray(coeffs_v, float))
-        return np.sum((du - dv) ** 2, axis=-1)
+    def noise_field(self, basis, c):
+        return self.sigma * (c + 0.1 * np.sin(c)) / self._constants(basis)["damping"]
 
 
 class HeatOU(Model):
@@ -205,31 +236,15 @@ class HeatOU(Model):
             K_R_form=lambda R: 0.0,
         ))
 
-    def linear_diagonal(self, basis):
+    def drift_diagonal(self, basis):
         return -basis.eigenvalues
 
     def basis_constants(self, basis):
-        return {"drift": -basis.eigenvalues,
+        return {**super().basis_constants(basis),
                 "amps": self.sigma / (1.0 + basis.eigenvalues)}
 
-    def apply_A(self, basis, t, coeffs):
-        drift = self._constants(basis)["drift"]
-        c, _ = _as_batch(coeffs)
-        return drift * c
-
-    def apply_B_increment(self, basis, t, coeffs, dw):
-        out = self._constants(basis)["amps"] * np.asarray(dw)[..., :basis.n_modes]
-        c, _ = _as_batch(coeffs)
-        return np.broadcast_to(out, c.shape).copy() if out.shape != c.shape else out
-
-    def b_hs_norm_sq(self, basis, t, coeffs):
-        c, _ = _as_batch(coeffs)
-        val = float(np.sum(self.basis_constants(basis)["amps"] ** 2))
-        return np.full(c.shape[:-1], val) if c.ndim > 1 else val
-
-    def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        cu, _ = _as_batch(coeffs_u)
-        return np.zeros(cu.shape[:-1]) if cu.ndim > 1 else 0.0
+    def noise_field(self, basis, c):
+        return self._constants(basis)["amps"]
 
 
 class PLaplacian(_DiagonalLipschitzNoise, Model):
@@ -262,17 +277,21 @@ class PLaplacian(_DiagonalLipschitzNoise, Model):
             K_R_form=lambda R: 0.0,
         ))
 
-    def apply_A(self, basis, t, coeffs):
-        self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        du = c @ basis.dfns
-        flux = np.abs(du) ** (self.p - 2.0) * du
-        out = -(flux * basis.weights) @ basis.dfns.T
-        if self.c != 0.0:
-            u = c @ basis.fns
-            low = np.abs(u) ** (self.p - 2.0) * u
-            out = out - self.c * ((low * basis.weights) @ basis.fns.T)
-        return out
+    # in-place on their own temporaries: no extra pass over the grid
+    def flux(self, u, du):
+        f = np.abs(du)
+        f **= self.p - 2.0
+        f *= du
+        return f
+
+    def source(self, u):
+        if self.c == 0.0:
+            return None
+        s = np.abs(u)
+        s **= self.p - 2.0
+        s *= u
+        s *= self.c
+        return s
 
 
 class ConvectionDiffusion(_DiagonalLipschitzNoise, Model):
@@ -311,15 +330,11 @@ class ConvectionDiffusion(_DiagonalLipschitzNoise, Model):
         return np.sin(u)
 
     def linear_diagonal(self, basis):
+        # the drift is all flux; the stepper takes -lambda implicitly
         return -basis.eigenvalues
 
-    def apply_A(self, basis, t, coeffs):
-        self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        u = c @ basis.fns
-        du = c @ basis.dfns
-        flux = self.a_coeff(u) * du + self.b_flux(u)
-        return -(flux * basis.weights) @ basis.dfns.T
+    def flux(self, u, du):
+        return self.a_coeff(u) * du + self.b_flux(u)
 
 
 class CahnHilliard(_DiagonalLipschitzNoise, Model):
@@ -361,18 +376,11 @@ class CahnHilliard(_DiagonalLipschitzNoise, Model):
         # multiplies, and phi runs on every collocation point of apply_A
         return self.a3 * (u * u * u) + self.a1 * u
 
-    def linear_diagonal(self, basis):
-        return -basis.eigenvalues ** 2
+    def drift_diagonal(self, basis):
+        return -(basis.eigenvalues ** 2)
 
-    def apply_A(self, basis, t, coeffs):
-        self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        out = -(basis.eigenvalues ** 2) * c
-        if self.a3 != 0.0 or self.a1 != 0.0:
-            u = c @ basis.fns
-            d = (self.phi(u) * basis.weights) @ basis.fns.T
-            out = out - basis.eigenvalues * d
-        return out
+    def potential(self, u):
+        return self.phi(u) if self.a3 != 0.0 or self.a1 != 0.0 else None
 
 
 class GradientNoiseHeat(Model):
@@ -401,38 +409,26 @@ class GradientNoiseHeat(Model):
             part2=True,
         ))
 
-    def linear_diagonal(self, basis):
+    def drift_diagonal(self, basis):
         return -basis.eigenvalues
 
     def noise_modes(self, basis):
         return 1
 
-    def basis_constants(self, basis):
-        return {"drift": -basis.eigenvalues}
-
-    def apply_A(self, basis, t, coeffs):
-        drift = self._constants(basis)["drift"]
-        c, _ = _as_batch(coeffs)
-        return drift * c
-
     def _projected_gradient(self, basis, coeffs):
         return sb.analyze(basis, coeffs @ basis.dfns)
 
-    def apply_B_increment(self, basis, t, coeffs, dw):
+    def noise_field(self, basis, c):
         self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        dbeta = np.asarray(dw)[..., 0]
-        return self.nu * self._projected_gradient(basis, c) * dbeta[..., None]
+        return self.nu * self._projected_gradient(basis, c)
 
+    # B is linear: the norms square one projected gradient, scaled after
     def b_hs_norm_sq(self, basis, t, coeffs):
-        c, _ = _as_batch(coeffs)
-        g = self._projected_gradient(basis, c)
+        g = self._projected_gradient(basis, np.asarray(coeffs, float))
         return self.nu ** 2 * np.sum(g * g, axis=-1)
 
     def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        diff = np.asarray(coeffs_u, float) - np.asarray(coeffs_v, float)
-        g = self._projected_gradient(basis, diff)
-        return self.nu ** 2 * np.sum(g * g, axis=-1)
+        return self.b_hs_norm_sq(basis, t, np.asarray(coeffs_u, float) - coeffs_v)
 
 
 # --- negative-control fixtures -----------------------------------------
@@ -451,9 +447,7 @@ class FixtureBadH1(HeatOU):
 
     def apply_A(self, basis, t, coeffs):
         out = super().apply_A(basis, t, coeffs)
-        c, _ = _as_batch(coeffs)
-        out = np.array(out, copy=True)
-        out[..., 0] -= np.sign(c[..., 0])
+        out[..., 0] -= np.sign(np.asarray(coeffs, float)[..., 0])
         return out
 
 
@@ -469,24 +463,10 @@ class FixtureBadH5(HeatOU):
         self.hypothesis.g_const = max(1.0, self.sigma ** 2)
         self.hypothesis.c_coercive = 0.5
 
-    def _vnorm(self, basis, coeffs):
-        w = (1.0 + basis.eigenvalues)
-        return np.sqrt(np.sum(w * coeffs * coeffs, axis=-1))
-
-    def apply_B_increment(self, basis, t, coeffs, dw):
-        c, _ = _as_batch(coeffs)
-        out = np.zeros_like(c)
-        out[..., 0] = self._vnorm(basis, c) * np.asarray(dw)[..., 0]
-        return out
-
-    def b_hs_norm_sq(self, basis, t, coeffs):
-        c, _ = _as_batch(coeffs)
-        return self._vnorm(basis, c) ** 2
-
-    def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        cu, _ = _as_batch(coeffs_u)
-        cv, _ = _as_batch(coeffs_v)
-        return (self._vnorm(basis, cu) - self._vnorm(basis, cv)) ** 2
+    def noise_field(self, basis, c):
+        g = np.zeros_like(c)
+        g[..., 0] = np.sqrt(np.sum((1.0 + basis.eigenvalues) * c * c, axis=-1))
+        return g
 
 
 class FixtureBadH3(Model):
@@ -507,19 +487,7 @@ class FixtureBadH3(Model):
 
     def apply_A(self, basis, t, coeffs):
         self.check_basis(basis)
-        c, _ = _as_batch(coeffs)
-        return np.array(c, copy=True)
-
-    def apply_B_increment(self, basis, t, coeffs, dw):
-        c, _ = _as_batch(coeffs)
-        return np.zeros_like(c)
-
-    def b_hs_norm_sq(self, basis, t, coeffs):
-        c, _ = _as_batch(coeffs)
-        return np.zeros(c.shape[:-1]) if c.ndim > 1 else 0.0
-
-    def b_hs_diff_sq(self, basis, t, coeffs_u, coeffs_v):
-        return self.b_hs_norm_sq(basis, 0.0, coeffs_u)
+        return np.array(coeffs, float, copy=True)
 
 
 MODELS = {

@@ -222,20 +222,22 @@ def _advance_block(model, basis, run, increments):
         run.open_window(len(increments))
     model, c, L, denom = run.model, run.c, run.L, run.denom
     dt, save_every = run.dt, run.save_every
-    for j, dw in enumerate(increments, start=run.step):
-        t = j * dt
-        a = model.apply_A(basis, t, c)
-        binc = model.apply_B_increment(basis, t, c, dw)
-        if L is not None:
-            c = (c + dt * (a - L * c) + binc) / denom
-        else:
-            tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
-            c = c + dt * a / tame + binc
-        if not np.isfinite(c).all():
-            c = run.retire_nonfinite(c, (j + 1) * dt)
-        if (j + 1) % save_every == 0:
-            run.saved[:, (j + 1) // save_every - run.row0] = \
-                np.where(run.alive[:, None], c, np.nan)
+    # a row on its way to blowing up overflows before it is retired
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, dw in enumerate(increments, start=run.step):
+            t = j * dt
+            a = model.apply_A(basis, t, c)
+            binc = model.apply_B_increment(basis, t, c, dw)
+            if L is not None:
+                c = (c + dt * (a - L * c) + binc) / denom
+            else:
+                tame = 1.0 + dt * np.linalg.norm(a, axis=-1, keepdims=True)
+                c = c + dt * a / tame + binc
+            if not np.isfinite(c).all():
+                c = run.retire_nonfinite(c, (j + 1) * dt)
+            if (j + 1) % save_every == 0:
+                run.saved[:, (j + 1) // save_every - run.row0] = \
+                    np.where(run.alive[:, None], c, np.nan)
     run.c = c
     run.step += len(increments)
 
@@ -249,18 +251,21 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
     dt and `multiple`); then, with the chunk dropped, finish(lo, hi, state).
     Returns the finish results in block order.  Blocks run on
     worker_count(threads) threads; the callbacks of one block share no
-    state with another's."""
+    state with another's.  They run with numpy's overflow and
+    invalid-value warnings off: blown rows are NaN by design, and the
+    experiments count them."""
     if M < 1:
         raise ConfigError("M must be >= 1")
 
     def do_block(span):
         lo, hi = span
-        state = start(lo, hi)
-        for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
-                                     multiple):
-            advance(state, chunk)
-        del chunk       # frees the noise buffer before the block-end reductions
-        return finish(lo, hi, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = start(lo, hi)
+            for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
+                                         multiple):
+                advance(state, chunk)
+            del chunk   # frees the noise buffer before the block-end reductions
+            return finish(lo, hi, state)
 
     spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
     nw = worker_count(threads)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from spde import cli
+from spde import diagnostics as dg
+from spde import models as sm
 from spde.config import initial_coefficients, load_config
 from spde.errors import ConfigError
 
@@ -283,6 +285,21 @@ def test_cli_rejects_unknown_probe_mode(tmp_path, capsys):
     code = cli.main(["uniqueness", "--config", path, "--out", str(tmp_path / "u")])
     assert_usage_error(capsys, code, "experiment.mode must be one of")
     assert not (tmp_path / "u").exists()
+
+
+def test_cli_uniqueness_defaults_save_dt_to_coarsest_level(tmp_path):
+    # run.save_dt defaults to run.dt for the other commands; uniqueness
+    # saves at its coarsest dt level, 8 * dt by default
+    out = tmp_path / "u"
+    code = cli.main(["uniqueness", "--model", "heat-ou", "--n-modes", "4",
+                     "--paths", "4", "--t-end", "0.08", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert len((out / "uniqueness.csv").read_text().splitlines()) == 5
+    ref = dg.uniqueness_probe(sm.HeatOU(), sm.HeatOU().make_basis(4), [1.0], M=4,
+                              seed=0, dt_levels=[8e-3, 4e-3, 2e-3, 1e-3], t_end=0.08,
+                              save_dt=8e-3)
+    assert json.loads((out / "summary.json").read_text())["rows"] == \
+        [[float(k), float(e), float(s), int(m)] for k, e, s, m in ref.rows]
 
 
 @pytest.mark.parametrize("levels", [[8], [], [8, 8], [0, 8], [4, 8.5], ["8", 16],

@@ -204,15 +204,11 @@ def test_write_table(tmp_path):
     m, b, ens = heat_ensemble(M=10)
     tab = dg.moment_report(ens, 2, 2)
     csv = tmp_path / "moments.csv"
-    js = tmp_path / "summary.json"
-    dg.write_table(tab, csv, js, timestamp="2026-01-01T00:00:00")
+    dg.write_table(tab, csv)
     lines = csv.read_text().splitlines()
     assert lines[0] == "key,estimate,std_error,M"
+    assert lines[1:] == [",".join(r) for r in tab.csv_rows()[1:]]
     assert len(lines) == 3
-    import json
-    payload = json.loads(js.read_text())
-    assert payload["experiment"] == "moments"
-    assert "timestamp" in payload
 
 
 def all_blown_ensemble(M=3):
@@ -381,7 +377,6 @@ class QuadraticOU(sm.HeatOU):
         return super().apply_A(basis, t, c) + 4.0 * c * np.abs(c)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_continuity_and_uniqueness_count_blowups():
     # a few of these 40 paths blow up before t = 1; the rows are taken over
     # the rest, and count them, instead of turning NaN
@@ -404,7 +399,28 @@ def test_continuity_and_uniqueness_count_blowups():
             assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_galerkin_convergence_counts_blowups():
+    # the paths that blow up at either level leave every row and are
+    # counted; the rows are those of the others, as for continuity
+    m = QuadraticOU(1.0)
+    tab = dg.galerkin_convergence(m, np.zeros(4), [4, 8], M=40, seed=2, t_end=1.0,
+                                  dt=1e-2)
+    n_blown = tab.extra["n_blown"]
+    assert 0 < n_blown < 40
+    for _, est, se, M in tab.rows:
+        assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
+    finite = dg.galerkin_convergence(sm.HeatOU(0.8), np.zeros(4), [4, 8], M=40,
+                                     seed=2, t_end=1.0, dt=1e-2)
+    assert finite.extra["n_blown"] == 0 and finite.rows[0][3] == 40
+
+
+def test_galerkin_convergence_all_blown_raises():
+    m = sm.GradientNoiseHeat(nu=30.0)
+    with pytest.raises(NonfiniteStateError, match="all 20 paths blew up") as ei:
+        dg.galerkin_convergence(m, unit(8), [4, 8], M=20, seed=2, t_end=5.12, dt=1e-2)
+    assert ei.value.time is not None
+
+
 def test_continuity_and_uniqueness_all_blown_raise():
     m = sm.GradientNoiseHeat(nu=30.0)
     b = m.make_basis(8)

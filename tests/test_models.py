@@ -216,3 +216,111 @@ def test_gradient_noise_declared_constants():
 def test_build_model_unknown():
     with pytest.raises(IncompleteSpecError):
         sm.build_model("no-such-model")
+
+
+# --- declared physics against the hand-written maps ---------------------
+# Each model's drift and noise, written out as explicit expressions on
+# the grid.  Model derives them from the declared parts; the two must
+# agree bit for bit, up to the sign of an exact zero: the hand-written
+# drifts negate the grid field before pairing, Model negates the paired
+# result, so the torus mode whose derivative vanishes pairs to +0.0 in
+# one and -0.0 in the other, and fixture-bad-h5's zero noise columns are
+# 0 * dw.  A step adds these terms to the state, and x + (-0.0) differs
+# from x + (+0.0) only at x = -0.0.
+
+def _ref_vnorm(b, c):
+    return np.sqrt(np.sum((1.0 + b.eigenvalues) * c * c, axis=-1))
+
+
+def ref_apply_A(m, b, c):
+    lam = b.eigenvalues
+    if m.name in ("heat-ou", "gradient-noise-heat", "fixture-bad-h5"):
+        return -lam * c
+    if m.name == "fixture-bad-h1":
+        out = -lam * c
+        out[..., 0] -= np.sign(c[..., 0])
+        return out
+    if m.name == "fixture-bad-h3":
+        return np.array(c, copy=True)
+    if m.name == "p-laplacian":
+        du = c @ b.dfns
+        flux = np.abs(du) ** (m.p - 2.0) * du
+        out = -(flux * b.weights) @ b.dfns.T
+        if m.c != 0.0:
+            u = c @ b.fns
+            low = np.abs(u) ** (m.p - 2.0) * u
+            out = out - m.c * ((low * b.weights) @ b.fns.T)
+        return out
+    if m.name == "convection-diffusion":
+        u = c @ b.fns
+        du = c @ b.dfns
+        flux = m.a_coeff(u) * du + m.b_flux(u)
+        return -(flux * b.weights) @ b.dfns.T
+    if m.name == "cahn-hilliard":
+        out = -(lam ** 2) * c
+        if m.a3 != 0.0 or m.a1 != 0.0:
+            u = c @ b.fns
+            out = out - lam * ((m.phi(u) * b.weights) @ b.fns.T)
+        return out
+    raise AssertionError(m.name)
+
+
+def ref_noise(m, b, c, dw):
+    """(increment, ||B(c)||^2, ||B(c) - B(c[::-1])||^2) for batched c."""
+    lam = b.eigenvalues
+    v = c[::-1]
+    if m.name in ("heat-ou", "fixture-bad-h1"):
+        amps = m.sigma / (1.0 + lam)
+        val = float(np.sum(amps ** 2))
+        if c.ndim == 1:
+            return amps * dw[..., :b.n_modes], val, 0.0
+        return amps * dw[..., :b.n_modes], np.full(c.shape[:-1], val), np.zeros(len(c))
+    if m.name == "fixture-bad-h5":
+        inc = np.zeros_like(c)
+        inc[..., 0] = _ref_vnorm(b, c) * dw[..., 0]
+        return (inc, _ref_vnorm(b, c) ** 2, (_ref_vnorm(b, c) - _ref_vnorm(b, v)) ** 2)
+    if m.name == "fixture-bad-h3":
+        hs = np.zeros(c.shape[:-1]) if c.ndim > 1 else 0.0
+        return np.zeros_like(c), hs, hs
+    if m.name == "gradient-noise-heat":
+        def grad(x):
+            return sb.analyze(b, x @ b.dfns)
+        g, gd = grad(c), grad(c - v)
+        return (m.nu * grad(c) * dw[..., 0][..., None], m.nu ** 2 * np.sum(g * g, axis=-1),
+                m.nu ** 2 * np.sum(gd * gd, axis=-1))
+    diag = m.sigma * (c + 0.1 * np.sin(c)) / (1.0 + lam)
+    diag_v = m.sigma * (v + 0.1 * np.sin(v)) / (1.0 + lam)
+    return (diag * dw[..., :b.n_modes], np.sum(diag * diag, axis=-1),
+            np.sum((diag - diag_v) ** 2, axis=-1))
+
+
+def same_bits(got, want):
+    """Equal bytes once -0.0 is read as +0.0 (adding +0.0 does that and
+    changes no other value)."""
+    got, want = np.asarray(got) + 0.0, np.asarray(want) + 0.0
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+DECLARED_CASES = [(name, {}) for name in sm.MODELS] + [
+    ("p-laplacian", {"c": 0.0}), ("p-laplacian", {"c": 0.5}),
+    ("cahn-hilliard", {"phi_cubic": 0.0, "phi_linear": 0.0}),
+    ("gradient-noise-heat", {"nu": 1.5}), ("heat-ou", {"sigma": 0.8})]
+
+
+@pytest.mark.parametrize("name,params", DECLARED_CASES)
+@pytest.mark.parametrize("n", [8, 16])
+def test_declared_physics_matches_hand_written_maps(name, params, n):
+    m = sm.build_model(name, **params)
+    b = m.make_basis(n)
+    rng = np.random.default_rng(n)
+    for rows in (None, 1, 37, 256):
+        shape = (n,) if rows is None else (rows, n)
+        c = rng.standard_normal(shape) * 3.0 / (1.0 + b.eigenvalues) ** 0.5
+        dw = rng.standard_normal(shape) * 0.03
+        want_inc, want_hs, want_diff = ref_noise(m, b, c, dw)
+        models = [m] if rows is None else [m, m.prepare(b, rows)]
+        for mm in models:
+            assert same_bits(mm.apply_A(b, 0.0, c), ref_apply_A(m, b, c))
+            assert same_bits(mm.apply_B_increment(b, 0.0, c, dw), want_inc)
+        assert same_bits(m.b_hs_norm_sq(b, 0.0, c), want_hs)
+        assert same_bits(m.b_hs_diff_sq(b, 0.0, c, c[::-1]), want_diff)

@@ -220,7 +220,6 @@ def test_ou_stationary_variance():
     assert np.all(np.abs(var - exact) <= 3 * se + 0.02 * exact)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_blowup_raises_with_path_id():
     # semi-implicit leaves the quadratic drift explicit, so it overflows;
     # the tamed scheme caps drift increments at 1 and must NOT blow up
@@ -341,7 +340,6 @@ def test_chunked_advance_equals_one_chunk(name, stepper):
         assert np.array_equal(rows, whole.saved)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_chunked_advance_partial_blowup():
     # gradient noise at nu = 30 with dt = 1e-2 overflows some paths and
     # not others; blow-up times and the NaN tails must not see the chunking
