@@ -119,29 +119,23 @@ def run(cfg):
                                      "final_h_norm": h_final})
         return EXIT_OK
 
-    if cfg.command == "moments":
-        p = float(cfg.experiment.get("p", 2.0))
+    if cfg.command in ("moments", "equicontinuity"):
         alpha = float(cfg.experiment.get("alpha", model.alpha))
-        dg.check_moment_exponent(model, p)      # fail before solving
+        if cfg.command == "moments":
+            p = float(cfg.experiment.get("p", 2.0))
+            dg.check_moment_exponent(model, p)      # fail before solving
         ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
                                 run_sec["paths"], seed, stepper,
                                 run_sec["t_end"], run_sec["dt"],
-                                run_sec["save_dt"], on_blowup="discard",
-                                threads=threads)
-        table = dg.moment_report(ens, p, alpha)
-        name = "moments"
-    elif cfg.command == "equicontinuity":
-        alpha = float(cfg.experiment.get("alpha", model.alpha))
-        deltas = cfg.experiment.get("deltas")
-        if deltas is None:
-            deltas = [k * run_sec["save_dt"] for k in (2, 4, 8, 16, 32)]
-        ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
-                                run_sec["paths"], seed, stepper,
-                                run_sec["t_end"], run_sec["dt"],
-                                run_sec["save_dt"], on_blowup="discard",
-                                threads=threads)
-        table = dg.equicontinuity_statistic(ens, deltas, alpha)
-        name = "equicontinuity"
+                                run_sec["save_dt"], threads=threads)
+        if cfg.command == "moments":
+            table = dg.moment_report(ens, p, alpha)
+        else:
+            deltas = cfg.experiment.get("deltas")
+            if deltas is None:
+                deltas = [k * run_sec["save_dt"] for k in (2, 4, 8, 16, 32)]
+            table = dg.equicontinuity_statistic(ens, deltas, alpha)
+        name = cfg.command
     elif cfg.command == "converge":
         alpha = float(cfg.experiment.get("alpha", model.alpha))
         levels = cfg.experiment.get("levels", [8, 16, 32])

@@ -22,7 +22,7 @@ from .basis import build_basis
 from .diagnostics import PROBE_MODES
 from .errors import ConfigError
 from .models import MODELS, build_model
-from .solver import STEPPERS, ratio_as_int
+from .solver import STEPPERS, save_grid
 
 COMMANDS = ("check", "simulate", "converge", "moments", "equicontinuity",
             "continuity", "uniqueness")
@@ -206,9 +206,7 @@ def load_config(path=None, flags=None):
     for key in ("t_end", "dt", "save_dt"):
         if key in run:
             _finite_number(run[key], f"run.{key}")
-    save_dt = run.get("save_dt", run["dt"])
-    ratio_as_int(save_dt, run["dt"], "save_dt/dt")
-    ratio_as_int(run["t_end"], save_dt, "t_end/save_dt")
+    save_grid(run["t_end"], run["dt"], run.get("save_dt", run["dt"]))
 
     for key in ("p", "alpha"):
         if key in exp_sec:

@@ -92,28 +92,16 @@ def _row_max(vals):
     return np.max(vals, axis=1, initial=-np.inf)
 
 
-def _alive(ensemble):
-    """The (M,) mask of paths that did not blow up, and the blown count;
-    an ensemble in which every path blew up has nothing to estimate from."""
-    alive = np.isnan(ensemble.blow_t)
-    n_blown = ensemble.M - int(np.count_nonzero(alive))
-    if not alive.any():
-        first = float(np.min(ensemble.blow_t))
-        raise NonfiniteStateError(
-            f"all {n_blown} paths blew up (the first at t={first:.6g})", time=first)
-    return alive, n_blown
-
-
-def _survivor_slices(ensemble, alive, width):
-    """The surviving paths' (k, S+1, n) states, k paths at a time with
+def _path_slices(ensemble, width):
+    """The ensemble's (k, S+1, n) states, k paths at a time with
     k * (S+1) * width at most REDUCE_VALUES (at least one path), so that
     a reduction's temporaries of last axis `width` stay bounded.  Each
     path is reduced as a one-path array would be: the row reductions run
     along the last axis and the matmuls path by path."""
-    idx = np.flatnonzero(alive)
-    k = max(1, REDUCE_VALUES // (ensemble.states.shape[1] * width))
-    for lo in range(0, idx.size, k):
-        yield ensemble.states[idx[lo:lo + k]]
+    states = ensemble.states
+    k = max(1, REDUCE_VALUES // (states.shape[1] * width))
+    for lo in range(0, len(states), k):
+        yield states[lo:lo + k]
 
 
 def _first_blowups(runs):
@@ -155,17 +143,19 @@ def moment_report(ensemble, p, alpha, model=None, basis=None):
     model = model or ensemble.model
     basis = basis or ensemble.basis
     check_moment_exponent(model, p)
-    alive, n_blown = _alive(ensemble)
     # the last powers are np.float64 scalar powers, as per path before;
-    # numpy's array power can round differently
+    # numpy's array power can round differently.  Blown paths give NaN and
+    # a survivor's power can overflow; _survivor_rows counts both.
     sup_p, vint_p = [], []
-    for states in _survivor_slices(ensemble, alive, basis.grid_size):
-        sup = np.max(np.linalg.norm(states, axis=-1), axis=1)
-        vint = np.trapezoid(sb.v_norm(basis, model, states) ** alpha,
-                            dx=ensemble.save_dt, axis=1)
-        sup_p += [s ** p for s in sup]
-        vint_p += [v ** (p / 2.0) for v in vint]
-    rows = [(0.0, *_mean_se(sup_p)), (1.0, *_mean_se(vint_p))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for states in _path_slices(ensemble, basis.grid_size):
+            sup = np.max(np.linalg.norm(states, axis=-1), axis=1)
+            vint = np.trapezoid(sb.v_norm(basis, model, states) ** alpha,
+                                dx=ensemble.save_dt, axis=1)
+            sup_p += [s ** p for s in sup]
+            vint_p += [v ** (p / 2.0) for v in vint]
+    rows, n_blown = _survivor_rows([0.0, 1.0], np.array([sup_p, vint_p]),
+                                   ensemble.blow_t)
     return DiagnosticTable(
         experiment="moments", rows=rows,
         extra={"p": p, "alpha": alpha, "n_blown": n_blown,
@@ -176,8 +166,7 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
     """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt.
 
     A survivor whose integral is not finite at some delta (its states
-    near overflow) counts as blown and leaves every row."""
-    alive, n_blown = _alive(ensemble)
+    near overflow) counts as blown and leaves every row (_survivor_rows)."""
     save_dt = ensemble.save_dt
     n_saves = ensemble.times.size - 1
     shifts = []
@@ -188,19 +177,13 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
         shifts.append(k)
     integs = [[] for _ in shifts]
     with np.errstate(over="ignore", invalid="ignore"):
-        for states in _survivor_slices(ensemble, alive, ensemble.states.shape[-1]):
+        for states in _path_slices(ensemble, ensemble.states.shape[-1]):
             for out, k in zip(integs, shifts):
                 diff = states[:, k:, :] - states[:, :-k or None, :]
                 vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)  # (paths, S+1-k)
                 out.append(np.trapezoid(vals, dx=save_dt, axis=1))
-    integs = [np.concatenate(out) for out in integs]
-    finite = np.all(np.isfinite(integs), axis=0)
-    n_blown += int(np.count_nonzero(~finite))
-    if not finite.any():
-        raise NonfiniteStateError(
-            f"all {n_blown} paths blew up or overflowed the time-shift statistic")
-    rows = [(float(d), *_mean_se(integ[finite]))
-            for d, integ in zip(delta_list, integs)]
+    rows, n_blown = _survivor_rows(
+        delta_list, np.array([np.concatenate(out) for out in integs]), ensemble.blow_t)
     fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
     return DiagnosticTable(experiment="equicontinuity", rows=rows, fitted_rate=fit,
                            extra={"alpha": alpha, "n_blown": n_blown})
@@ -228,8 +211,7 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     bases = {n: model.make_basis(n, grid_factor * n) for n in levels}
     m_fine = m_modes if m_modes is not None else max(
         model.noise_modes(bases[n]) for n in levels)
-    steps = sv.ratio_as_int(t_end, dt, "t_end/dt")
-    save_every = sv.ratio_as_int(save_dt, dt, "save_dt/dt")
+    steps, save_every = sv.save_grid(t_end, dt, save_dt)
     x0 = np.asarray(x0, float)
 
     def start(lo, hi):
@@ -267,8 +249,7 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
     Blocks of paths run on `threads` workers (solver.run_blocks)."""
     save_dt = save_dt if save_dt is not None else dt
     stepper = stepper or model.default_stepper
-    steps = sv.ratio_as_int(t_end, dt, "t_end/dt")
-    save_every = sv.ratio_as_int(save_dt, dt, "save_dt/dt")
+    steps, save_every = sv.save_grid(t_end, dt, save_dt)
     m = model.noise_modes(basis)
     d = sv.project_initial(basis, direction)
     x0 = sv.project_initial(basis, x)
@@ -319,8 +300,6 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
         raise InvalidDeltaError(f"unknown probe mode {mode!r}")
     stepper = stepper or model.default_stepper
     dts = sorted(dt_levels, reverse=True)
-    for d in dts:
-        sv.ratio_as_int(t_end, d, "t_end/dt_level")
     fine_dt = dts[-1] / 2.0
     steps_fine = sv.ratio_as_int(t_end, fine_dt, "t_end/fine_dt")
     save_dt = save_dt if save_dt is not None else dts[0]
@@ -332,7 +311,7 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     pairs = {}
     for d in dts:
         f1 = sv.ratio_as_int(d, fine_dt, "dt_level/fine_dt")
-        se1 = sv.ratio_as_int(save_dt, d, "save_dt/dt_level")
+        _, se1 = sv.save_grid(t_end, d, save_dt)
         first = (d, f1, "explicit-tamed" if mode == "stepper" else stepper, se1)
         if mode == "dt-refinement":
             f2 = sv.ratio_as_int(d / 2.0, fine_dt, "dt_level/2/fine_dt")

@@ -438,6 +438,7 @@ class FixtureBadH1(HeatOU):
     and coercive, but hemicontinuity fails along segments crossing c_1 = 0."""
 
     name = "fixture-bad-h1"
+    default_stepper = "explicit-tamed"     # no diagonal linear part
 
     def __init__(self, sigma=0.0):
         super().__init__(sigma=sigma)
@@ -474,6 +475,7 @@ class FixtureBadH3(Model):
     fails at moderate amplitudes."""
 
     name = "fixture-bad-h3"
+    default_stepper = "explicit-tamed"     # no diagonal linear part
     alpha = 2.0
     basis_kind = "dirichlet-interval"
     v_norm_kind = "spectral"

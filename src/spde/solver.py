@@ -72,6 +72,14 @@ def ratio_as_int(num, den, what):
     return k
 
 
+def save_grid(t_end, dt, save_dt):
+    """(steps, save_every) of a run to t_end in steps of dt that saves
+    every save_dt: save_dt/dt and t_end/save_dt must both be integers, so
+    that the last save falls on t_end."""
+    save_every = ratio_as_int(save_dt, dt, "save_dt/dt")
+    return save_every * ratio_as_int(t_end, save_dt, "t_end/save_dt"), save_every
+
+
 @dataclass
 class Trajectory:
     """States at the save grid (times[0] = 0 carries the initial value)."""
@@ -85,7 +93,7 @@ class Trajectory:
     seed: int = 0
     path_id: int = 0
     m_modes: int = 0
-    blew_up_at: float = None   # set only when on_blowup="discard"
+    blew_up_at: float = None   # an ensemble path's blow-up time, None while finite
 
     def h_norms(self):
         return np.linalg.norm(self.states, axis=-1)
@@ -192,7 +200,10 @@ def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
     room for the saves of n_steps steps, or with window=True for the save
     rows of one chunk at a time (see BlockRun.pop_saves).  The run holds
     the model prepared for `basis` and M rows, and the semi-implicit L
-    and 1 - dt*L broadcast to (M, n)."""
+    and 1 - dt*L broadcast to (M, n).  Every run starts here, so this is
+    where an unknown stepper is rejected."""
+    if stepper not in STEPPERS:
+        raise ConfigError(f"unknown stepper {stepper!r}")
     L = denom = None
     if stepper == "semi-implicit":
         L = model.linear_diagonal(basis)
@@ -283,16 +294,12 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     divide save_dt, which must divide t_end.
     """
     stepper = stepper or model.default_stepper
-    if stepper not in STEPPERS:
-        raise ConfigError(f"unknown stepper {stepper!r}")
     if t_end is None:
         t_end = noise_path.t_end
     if save_dt is None:
         save_dt = noise_path.dt_fine
     dt = noise_path.dt_fine
-    save_every = ratio_as_int(save_dt, dt, "save_dt/dt")
-    n_saves = ratio_as_int(t_end, save_dt, "t_end/save_dt")
-    steps = save_every * n_saves
+    steps, save_every = save_grid(t_end, dt, save_dt)
     if noise_path.n_steps < steps:
         raise ConfigError(
             f"noise path has {noise_path.n_steps} steps, need {steps}")
@@ -307,7 +314,7 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
         raise NonfiniteStateError(
             f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
             time=float(run.blow_t[0]), path_id=noise_path.path_id)
-    times = save_dt * np.arange(n_saves + 1)
+    times = save_dt * np.arange(steps // save_every + 1)
     return Trajectory(times=times, states=run.saved[0], model_name=model.name,
                       n_modes=basis.n_modes, stepper=stepper, save_dt=save_dt,
                       seed=noise_path.seed, path_id=noise_path.path_id,
@@ -328,26 +335,22 @@ def project_initial(basis, x0):
 
 
 def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
-                   save_dt=None, m_modes=None, on_blowup="raise", threads=None):
+                   save_dt=None, m_modes=None, threads=None):
     """M independent paths, path_id = 0..M-1, reproducible for a fixed M.
 
     Paths run in blocks through `run_blocks`, each keeping its whole save
-    grid for the ensemble's (M, S+1, n) array.  on_blowup: "raise"
-    propagates the first non-finite path (with its path_id); "discard"
-    records the blow-up time and keeps going, leaving NaNs past the
-    blow-up."""
+    grid for the ensemble's (M, S+1, n) array.  A path that blows up keeps
+    its blow-up time in blow_t and is NaN on the save grid from then on;
+    the run goes on, and the experiments that read the ensemble count it
+    (diagnostics._survivor_rows)."""
     stepper = stepper or model.default_stepper
-    if stepper not in STEPPERS:
-        raise ConfigError(f"unknown stepper {stepper!r}")
     save_dt = save_dt if save_dt is not None else dt
-    save_every = ratio_as_int(save_dt, dt, "save_dt/dt")
-    n_saves = ratio_as_int(t_end, save_dt, "t_end/save_dt")
-    steps = save_every * n_saves
+    steps, save_every = save_grid(t_end, dt, save_dt)
     m = m_modes if m_modes is not None else model.noise_modes(basis)
     c0 = project_initial(basis, x0)
-    times = save_dt * np.arange(n_saves + 1)
+    times = save_dt * np.arange(steps // save_every + 1)
 
-    all_states = np.empty((M, n_saves + 1, basis.n_modes))
+    all_states = np.empty((M, len(times), basis.n_modes))
     all_blow = np.full(M, np.nan)
 
     def finish(lo, hi, run):
@@ -359,15 +362,6 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                                           stepper, save_every),
                lambda run, chunk: _advance_block(model, basis, run, chunk),
                finish, threads=threads)
-
-    if on_blowup == "raise":
-        bad = np.flatnonzero(np.isfinite(all_blow))
-        if bad.size:
-            pid = int(bad[0])
-            raise NonfiniteStateError(
-                f"path {pid} blew up at t={all_blow[pid]:.6g}",
-                time=float(all_blow[pid]), path_id=pid)
-
     return TrajectoryEnsemble(states=all_states, blow_t=all_blow, times=times,
                               save_dt=save_dt, model=model, basis=basis,
                               stepper=stepper, seed=seed, m_modes=m)

@@ -108,7 +108,7 @@ def test_criterion_3_moment_uniformity():
         m = sm.HeatOU(sigma=0.5)
         b = m.make_basis(n)
         ens = sv.solve_ensemble(m, b, unit(n), M=M, seed=7, t_end=1.0,
-                                dt=1e-3, save_dt=1e-2, on_blowup="discard")
+                                dt=1e-3, save_dt=1e-2)
         tab = dg.moment_report(ens, p=p, alpha=2.0)
         sups[n] = (tab.rows[0][1], tab.rows[0][2])
         vints[n] = (tab.rows[1][1], tab.rows[1][2])
@@ -131,7 +131,7 @@ def test_criterion_3_moment_uniformity():
     ests = []
     for sdt in (4e-2, 2e-2, 1e-2):
         ens = sv.solve_ensemble(m, b, unit(16), M=500, seed=3, t_end=1.0,
-                                dt=1e-3, save_dt=sdt, on_blowup="discard")
+                                dt=1e-3, save_dt=sdt)
         tab = dg.moment_report(ens, p=p, alpha=2.0)
         ests.append((tab.rows[0][1], tab.rows[0][2]))
     grid_ok = (ests[2][0] >= ests[1][0] >= ests[0][0] - 3 * ests[0][1]) and \
@@ -150,7 +150,7 @@ def test_criterion_4_equicontinuity_rate():
     m = sm.HeatOU(sigma=0.5)
     b = m.make_basis(16)
     ens = sv.solve_ensemble(m, b, unit(16), M=2000, seed=11, t_end=1.0,
-                            dt=1e-3, save_dt=1e-2, on_blowup="discard")
+                            dt=1e-3, save_dt=1e-2)
     deltas = [k * 1e-2 for k in (2, 4, 8, 16, 32)]
     tab = dg.equicontinuity_statistic(ens, deltas, alpha=2.0)
     slope, _, r2 = tab.fitted_rate

@@ -365,6 +365,28 @@ def test_cli_continuity_and_uniqueness_overflow_exit_blowup(tmp_path, capsys, co
     assert not (out / f"{command}.csv").exists()
 
 
+def test_cli_moments_counts_overflowing_survivors(tmp_path, capsys):
+    # 17 of these 40 sups overflow at p = 300: they are counted in n_blown
+    # instead of turning the row into inf/nan
+    out = tmp_path / "m"
+    code = cli.main(["moments", "--model", "heat-ou", "--sigma", "50", "--p", "300",
+                     "--n-modes", "4", "--paths", "40", "--t-end", "0.1",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK and capsys.readouterr().err == ""
+    summary = (out / "summary.json").read_text()
+    assert json.loads(summary)["n_blown"] == 17
+    for text in (summary, (out / "moments.csv").read_text()):
+        assert "Infinity" not in text and "NaN" not in text
+        assert "inf" not in text and "nan" not in text
+    assert (out / "moments.csv").read_text().splitlines()[1].endswith(",23")
+
+
+@pytest.mark.parametrize("model", sorted(sm.MODELS))
+def test_cli_simulate_runs_every_model_at_its_default_stepper(tmp_path, model):
+    assert cli.main(["simulate", "--model", model, "--t-end", "0.01",
+                     "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("key,value,needle", [
     ("dt", "abc", "run.dt must be a finite number"),
     ("dt", None, "run.dt must be a finite number"),

@@ -25,7 +25,7 @@ def heat_ensemble(sigma=0.5, n=8, M=200, seed=3, t_end=1.0, dt=1e-3,
     b = m.make_basis(n)
     x0 = unit(n) if x0 is None else x0
     return m, b, sv.solve_ensemble(m, b, x0, M=M, seed=seed, t_end=t_end,
-                                   dt=dt, save_dt=save_dt, on_blowup="discard")
+                                   dt=dt, save_dt=save_dt)
 
 
 def test_moment_report_deterministic_contraction():
@@ -383,8 +383,7 @@ def test_continuity_and_uniqueness_count_blowups():
     m = QuadraticOU(0.8)
     b = m.make_basis(4)
     kw = dict(M=40, seed=2, t_end=1.0)
-    ens = sv.solve_ensemble(m, b, np.zeros(4), dt=1e-2, save_dt=1e-2,
-                            on_blowup="discard", **kw)
+    ens = sv.solve_ensemble(m, b, np.zeros(4), dt=1e-2, save_dt=1e-2, **kw)
     base_blown = ens.blown_count()
     assert base_blown > 0
     cont = dg.initial_data_continuity(m, b, np.zeros(4), unit(4), [0.1, 0.05], 2.0,
@@ -412,6 +411,76 @@ def test_galerkin_convergence_counts_blowups():
     finite = dg.galerkin_convergence(sm.HeatOU(0.8), np.zeros(4), [4, 8], M=40,
                                      seed=2, t_end=1.0, dt=1e-2)
     assert finite.extra["n_blown"] == 0 and finite.rows[0][3] == 40
+
+
+EXPERIMENTS = ("moments", "equicontinuity", "converge", "continuity", "uniqueness")
+
+
+def run_experiment(name, m, x0, **kw):
+    """One of the five experiments on an n = 4 basis (levels 4 and 8 for
+    converge), 40 paths to t = 1 at dt = 1e-2."""
+    b = m.make_basis(4)
+    kw = dict(M=40, seed=2, t_end=1.0, **kw)
+    if name in ("moments", "equicontinuity"):
+        ens = sv.solve_ensemble(m, b, x0, dt=1e-2, **kw)
+        if name == "moments":
+            return dg.moment_report(ens, 2.0, 2.0)
+        return dg.equicontinuity_statistic(ens, [0.02, 0.04], 2.0)
+    if name == "converge":
+        return dg.galerkin_convergence(m, x0, [4, 8], dt=1e-2, **kw)
+    if name == "continuity":
+        return dg.initial_data_continuity(m, b, x0, unit(4), [0.1, 0.05], 2.0,
+                                          dt=1e-2, **kw)
+    return dg.uniqueness_probe(m, b, x0, dt_levels=[0.04, 0.02], save_dt=0.04, **kw)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_experiment_counts_blowups_one_way(name):
+    # some paths blow up: the rows are taken over the others and count
+    # them; when every path blows up there is nothing to estimate from
+    tab = run_experiment(name, QuadraticOU(1.0), np.zeros(4))
+    n_blown = tab.extra["n_blown"]
+    assert 0 < n_blown < 40
+    for _, est, se, M in tab.rows:
+        assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
+    with pytest.raises(NonfiniteStateError, match="all 40 paths blew up") as ei:
+        run_experiment(name, QuadraticOU(1.0), 10.0 * unit(4))
+    assert ei.value.time is not None
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_experiment_rejects_unknown_stepper(name):
+    with pytest.raises(ConfigError, match="unknown stepper 'bogus'"):
+        run_experiment(name, sm.HeatOU(0.5), np.zeros(4), stepper="bogus")
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, b: dg.galerkin_convergence(m, unit(4), [4, 8], M=2, seed=0, t_end=0.05,
+                                         dt=0.01, save_dt=0.02),
+    lambda m, b: dg.initial_data_continuity(m, b, unit(4), unit(4), [0.1], 2.0, M=2,
+                                            seed=0, t_end=0.05, dt=0.01, save_dt=0.02),
+    lambda m, b: dg.uniqueness_probe(m, b, unit(4), M=2, seed=0, dt_levels=[0.02, 0.01],
+                                     t_end=0.06, save_dt=0.04),
+], ids=["converge", "continuity", "uniqueness"])
+def test_diagnostics_reject_save_grid_short_of_t_end(run):
+    # the last save would fall before t_end, and the integrals and sups
+    # would stop there
+    m = sm.HeatOU(0.5)
+    with pytest.raises(ConfigError, match="t_end/save_dt"):
+        run(m, m.make_basis(4))
+
+
+def test_moment_report_counts_overflowing_survivors():
+    # no path blows up, but 17 of the 40 sups overflow at p = 300: they
+    # count as blown, and the rows are those of the other 23
+    m = sm.HeatOU(sigma=50.0)
+    ens = sv.solve_ensemble(m, m.make_basis(4), unit(4), M=40, seed=0, t_end=0.1,
+                            dt=1e-3)
+    assert ens.blown_count() == 0
+    tab = dg.moment_report(ens, 300.0, 2.0)
+    assert tab.extra["n_blown"] == 17
+    for _, est, se, M in tab.rows:
+        assert M == 23 and np.isfinite(est) and np.isfinite(se)
 
 
 def test_galerkin_convergence_all_blown_raises():

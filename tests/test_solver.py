@@ -228,20 +228,15 @@ def test_blowup_raises_with_path_id():
     path = sn.sample_path(4, 1000, 0.05, seed=0, path_id=7)
     with pytest.raises(NonfiniteStateError) as ei:
         sv.solve_path(m, b, 10.0 * unit(4), path, "semi-implicit", 50.0, 0.05)
-    assert ei.value.time is not None
+    assert ei.value.time is not None and ei.value.path_id == 7
 
     tamed = sv.solve_path(m, b, 10.0 * unit(4), path, "explicit-tamed", 50.0, 0.05)
     assert np.all(np.isfinite(tamed.states))
 
     ens = sv.solve_ensemble(m, b, 10.0 * unit(4), M=3, seed=0, t_end=50.0,
-                            dt=0.05, save_dt=0.05, stepper="semi-implicit",
-                            on_blowup="discard")
+                            dt=0.05, save_dt=0.05, stepper="semi-implicit")
     assert ens.blown_count() == 3
     assert all(t.blew_up_at is not None for t in ens.trajectories)
-    with pytest.raises(NonfiniteStateError) as ei:
-        sv.solve_ensemble(m, b, 10.0 * unit(4), M=3, seed=0, t_end=50.0,
-                          dt=0.05, save_dt=0.05, stepper="semi-implicit")
-    assert ei.value.path_id == 0
 
 
 def test_energy_identity_residual_rate():
@@ -434,6 +429,15 @@ def test_run_blocks_order_and_chunk_lifetime(monkeypatch):
                        (512, 600, steps, True)]
     with pytest.raises(ConfigError, match="M must be >= 1"):
         sv.run_blocks(0, 0, 2, steps, 1e-3, start, advance, finish)
+
+
+def test_save_grid_counts_steps_and_saves():
+    assert sv.save_grid(1.0, 1e-3, 1e-2) == (1000, 10)
+    assert sv.save_grid(0.06, 0.02, 0.02) == (3, 1)
+    with pytest.raises(ConfigError, match="t_end/save_dt"):
+        sv.save_grid(0.05, 0.01, 0.02)
+    with pytest.raises(ConfigError, match="save_dt/dt"):
+        sv.save_grid(0.06, 0.02, 0.03)
 
 
 @pytest.mark.parametrize("num,den", [(1.0, 0.0), (-2.0, 1.0), (math.nan, 1.0),
