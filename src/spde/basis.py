@@ -114,41 +114,6 @@ def build_basis(kind, n_modes, grid_size, v_weight_exponent=1.0):
                          fns=fns, dfns=dfns)
 
 
-@dataclass
-class GalerkinState:
-    """Coefficient vector in H_n at a model time (seconds)."""
-
-    coeffs: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if not np.all(np.isfinite(self.coeffs)):
-            raise InvalidDimensionError("state coefficients must be finite")
-
-
-def _coeffs_of(state):
-    return state.coeffs if isinstance(state, GalerkinState) else np.asarray(state, float)
-
-
-def synthesize(basis, state):
-    """Evaluate the expansion on the collocation grid: (..., n) -> (..., G)."""
-    c = _coeffs_of(state)
-    if c.shape[-1] != basis.n_modes:
-        raise DimensionMismatchError(
-            f"expected {basis.n_modes} coefficients, got {c.shape[-1]}")
-    return c @ basis.fns
-
-
-def synthesize_derivative(basis, state):
-    """Grid values of the exact spatial derivative of the expansion."""
-    c = _coeffs_of(state)
-    if c.shape[-1] != basis.n_modes:
-        raise DimensionMismatchError(
-            f"expected {basis.n_modes} coefficients, got {c.shape[-1]}")
-    return c @ basis.dfns
-
-
 def analyze(basis, grid_values):
     """Project grid values onto the first n modes by quadrature."""
     v = np.asarray(grid_values, float)
@@ -160,8 +125,7 @@ def analyze(basis, grid_values):
 
 def h_norm(basis, state):
     """L² norm via Parseval: the Euclidean norm of the coefficients."""
-    c = _coeffs_of(state)
-    return np.linalg.norm(c, axis=-1)
+    return np.linalg.norm(np.asarray(state, float), axis=-1)
 
 
 def v_norm(basis, model, state):
@@ -172,7 +136,7 @@ def v_norm(basis, model, state):
     which is equivalent to the full W^{1,alpha} norm on these bounded
     domains.
     """
-    c = _coeffs_of(state)
+    c = np.asarray(state, float)
     kind = getattr(model, "v_norm_kind", None)
     if kind == "spectral":
         w = (1.0 + basis.eigenvalues) ** basis.v_weight_exponent
@@ -185,23 +149,14 @@ def v_norm(basis, model, state):
         f"model {getattr(model, 'name', model)!r} declares no V-norm kind")
 
 
-def dual_pairing(basis, dual_coeffs, state):
-    """<F, v> from dual coefficients <F, e_k>; extends the H inner product."""
-    f = np.asarray(dual_coeffs, float)
-    c = _coeffs_of(state)
-    if f.shape[-1] != basis.n_modes or c.shape[-1] != basis.n_modes:
-        raise DimensionMismatchError("dual/state coefficient length mismatch")
-    return np.sum(f * c, axis=-1)
-
-
-def sample_coeffs(basis, n_samples, seed, scales=(0.1, 1.0, 10.0, 100.0),
-                  smoothness=(0.6, 1.1, 2.1)):
+def sample_coeffs(basis, n_samples, seed, scales=(0.1, 1.0, 10.0, 100.0)):
     """Multi-scale random states for audits and probes.
 
     Gaussian coefficients with spectral decay (1+lambda_k)^(-r/2), cycling
-    r over `smoothness` and the overall amplitude over four decades, so
-    both high-frequency and large-amplitude regimes are probed.
+    r over three smoothness exponents and the overall amplitude over
+    `scales`, so both high-frequency and large-amplitude regimes are probed.
     """
+    smoothness = (0.6, 1.1, 2.1)
     rng = np.random.default_rng(np.random.Philox(key=seed))
     n = basis.n_modes
     r = np.asarray(smoothness)[np.arange(n_samples) % len(smoothness)]
@@ -234,11 +189,3 @@ def dual_norm_estimate(basis, model, dual_coeffs, n_probe=128, seed=0):
     vals = np.abs(f @ probes.T)          # (..., n_probe)
     return np.max(vals, axis=-1)
 
-
-def fit_embedding_constant(basis, model, n_samples=512, seed=1):
-    """Largest observed ratio ||u||_H / ||u||_V over random states."""
-    c = sample_coeffs(basis, n_samples, seed)
-    h = h_norm(basis, c)
-    v = v_norm(basis, model, c)
-    keep = v > 0
-    return float(np.max(h[keep] / v[keep]))

@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checks as ck
 from . import diagnostics as dg
 from . import noise as sn
@@ -121,19 +119,26 @@ def run(cfg):
 
     if cfg.command in ("moments", "equicontinuity"):
         alpha = float(cfg.experiment.get("alpha", model.alpha))
+        save_dt, t_end = run_sec["save_dt"], run_sec["t_end"]
+        # fail before solving
         if cfg.command == "moments":
             p = float(cfg.experiment.get("p", 2.0))
-            dg.check_moment_exponent(model, p)      # fail before solving
-        ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
-                                run_sec["paths"], seed, stepper,
-                                run_sec["t_end"], run_sec["dt"],
-                                run_sec["save_dt"], threads=threads)
-        if cfg.command == "moments":
-            table = dg.moment_report(ens, p, alpha)
+            dg.check_moment_exponent(model, p)
         else:
             deltas = cfg.experiment.get("deltas")
             if deltas is None:
-                deltas = [k * run_sec["save_dt"] for k in (2, 4, 8, 16, 32)]
+                # the default shifts that fit in the run; when none does,
+                # the first, which delta_shifts rejects naming t_end
+                n_saves = round(t_end / save_dt)
+                deltas = [k * save_dt for k in (2, 4, 8, 16, 32)
+                          if k <= n_saves] or [2 * save_dt]
+            dg.delta_shifts(deltas, save_dt, t_end)
+        ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
+                                run_sec["paths"], seed, stepper, t_end,
+                                run_sec["dt"], save_dt, threads=threads)
+        if cfg.command == "moments":
+            table = dg.moment_report(ens, p, alpha)
+        else:
             table = dg.equicontinuity_statistic(ens, deltas, alpha)
         name = cfg.command
     elif cfg.command == "converge":

@@ -2,10 +2,10 @@
 
 A config document has five sections (model, basis, run, experiment,
 out_dir) plus the command.  Unknown keys anywhere are errors, flags
-override file fields, model parameters, moment exponents and
-initial-data coefficients must be finite numbers, the deltas,
-perturbations and dt levels non-empty lists of finite positive numbers,
-and the dt | save_dt | t_end divisibility
+override file fields, model parameters and initial-data coefficients
+must be finite numbers, the exponents p and alpha finite positive
+numbers, the deltas, perturbations and dt levels non-empty lists of
+finite positive numbers, and the dt | save_dt | t_end divisibility
 contract is enforced up front so every downstream ratio is an exact
 integer.
 """
@@ -96,14 +96,18 @@ def _check_levels(value):
     return levels
 
 
+def _positive_number(value, what):
+    _finite_number(value, what)
+    if value <= 0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+
+
 def _positive_numbers(value, what):
     """A non-empty list of finite positive numbers."""
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{what} must be a non-empty list of numbers, got {value!r}")
     for i, entry in enumerate(value):
-        _finite_number(entry, f"{what}[{i}]")
-        if entry <= 0:
-            raise ConfigError(f"{what}[{i}] must be positive, got {entry!r}")
+        _positive_number(entry, f"{what}[{i}]")
 
 
 def _check_coefficients(value, what):
@@ -210,7 +214,7 @@ def load_config(path=None, flags=None):
 
     for key in ("p", "alpha"):
         if key in exp_sec:
-            _finite_number(exp_sec[key], f"experiment.{key}")
+            _positive_number(exp_sec[key], f"experiment.{key}")
     for key in ("deltas", "perturbations", "dt_levels"):
         if key in exp_sec:
             _positive_numbers(exp_sec[key], f"experiment.{key}")

@@ -18,9 +18,6 @@ from . import noise as sn
 from . import solver as sv
 from .errors import InadmissiblePError, InvalidDeltaError, NonfiniteStateError
 
-# sub-stream offsets so experiments sharing a seed stay decoupled
-_PERTURB_STREAM = 7919
-
 PROBE_MODES = ("dt-refinement", "stepper", "identical")
 
 REDUCE_VALUES = 2 ** 20     # grid values per slice of paths: 8 MiB per temporary
@@ -32,12 +29,6 @@ class DiagnosticTable:
     rows: list                      # (key, estimate, std_error, M)
     fitted_rate: tuple = None       # (slope, intercept, r2)
     extra: dict = field(default_factory=dict)
-
-    def estimates(self):
-        return np.array([r[1] for r in self.rows])
-
-    def std_errors(self):
-        return np.array([r[2] for r in self.rows])
 
     def csv_rows(self):
         out = [["key", "estimate", "std_error", "M"]]
@@ -138,10 +129,9 @@ def check_moment_exponent(model, p):
             f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
 
 
-def moment_report(ensemble, p, alpha, model=None, basis=None):
+def moment_report(ensemble, p, alpha):
     """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}."""
-    model = model or ensemble.model
-    basis = basis or ensemble.basis
+    model, basis = ensemble.model, ensemble.basis
     check_moment_exponent(model, p)
     # the last powers are np.float64 scalar powers, as per path before;
     # numpy's array power can round differently.  Blown paths give NaN and
@@ -162,19 +152,28 @@ def moment_report(ensemble, p, alpha, model=None, basis=None):
                "row_keys": ["sup_h_pow_p", "v_int_pow_p_half"]})
 
 
-def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None):
+def delta_shifts(delta_list, save_dt, t_end):
+    """The save-grid shifts k = delta / save_dt of a run to t_end: each
+    delta must be a positive multiple of save_dt no longer than t_end."""
+    n_saves = round(t_end / save_dt)
+    shifts = []
+    for d in delta_list:
+        k = int(round(d / save_dt))
+        if k < 1 or abs(d - k * save_dt) > 1e-9 * max(d, save_dt):
+            raise InvalidDeltaError(f"delta {d} is not a multiple of save_dt {save_dt}")
+        if k > n_saves:
+            raise InvalidDeltaError(f"delta {d} is longer than the run, t_end {t_end}")
+        shifts.append(k)
+    return shifts
+
+
+def equicontinuity_statistic(ensemble, delta_list, alpha):
     """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt.
 
     A survivor whose integral is not finite at some delta (its states
     near overflow) counts as blown and leaves every row (_survivor_rows)."""
     save_dt = ensemble.save_dt
-    n_saves = ensemble.times.size - 1
-    shifts = []
-    for d in delta_list:
-        k = int(round(d / save_dt))
-        if k < 1 or abs(d - k * save_dt) > 1e-9 * max(d, save_dt) or k > n_saves:
-            raise InvalidDeltaError(f"delta {d} is not a usable multiple of save_dt")
-        shifts.append(k)
+    shifts = delta_shifts(delta_list, save_dt, ensemble.times[-1])
     integs = [[] for _ in shifts]
     with np.errstate(over="ignore", invalid="ignore"):
         for states in _path_slices(ensemble, ensemble.states.shape[-1]):
@@ -190,8 +189,7 @@ def equicontinuity_statistic(ensemble, delta_list, alpha, model=None, basis=None
 
 
 def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
-                         alpha=None, stepper=None, grid_factor=4, m_modes=None,
-                         threads=None):
+                         alpha=None, stepper=None, m_modes=None, threads=None):
     """Cauchy differences between adjacent Galerkin levels under common noise.
 
     One fine noise path per path_id carries the finest level's mode count
@@ -208,7 +206,7 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     save_dt = save_dt if save_dt is not None else dt
     stepper = stepper or model.default_stepper
     levels = sorted(n_levels)
-    bases = {n: model.make_basis(n, grid_factor * n) for n in levels}
+    bases = {n: model.make_basis(n) for n in levels}
     m_fine = m_modes if m_modes is not None else max(
         model.noise_modes(bases[n]) for n in levels)
     steps, save_every = sv.save_grid(t_end, dt, save_dt)

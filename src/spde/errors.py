@@ -21,10 +21,6 @@ class BasisKindMismatchError(SpdeError):
     """State/basis built for a different domain kind than the model expects."""
 
 
-class InvalidTruncationError(SpdeError):
-    """Requested more noise modes than the path carries."""
-
-
 class IndivisibleFactorError(SpdeError):
     """Coarsening factor does not divide the step count."""
 

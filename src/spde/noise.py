@@ -1,9 +1,9 @@
 """Cylindrical Wiener increments with exact coupling across resolutions.
 
 A path is the full matrix of Gaussian increments at the finest step for
-m noise directions.  Truncating columns realizes the projection onto the
-first m_keep noise modes; summing rows in blocks coarsens the time step
-while preserving the Brownian path.  Generation uses the Philox
+m noise directions.  Summing rows in blocks coarsens the time step while
+preserving the Brownian path; the projection onto fewer noise modes is
+the solver's (solver.fit_noise_columns).  Generation uses the Philox
 counter-based generator keyed by (seed, path_id), so any path of an
 ensemble can be (re)generated on its own with identical bits.
 
@@ -15,14 +15,11 @@ time equal sample_path(...).increments bit for bit.  The chunks of a
 block share one buffer, each overwriting the last.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleFactorError, InvalidDimensionError, InvalidTruncationError
-
-MAGIC = b"SPDEWNR1"
+from .errors import IndivisibleFactorError, InvalidDimensionError
 
 CHUNK_NORMALS = 2 ** 19     # normals per streamed chunk: 4 MiB of float64
 
@@ -40,10 +37,6 @@ class NoisePath:
     def t_end(self):
         return self.n_steps * self.dt_fine
 
-    def terminal(self):
-        """Brownian value W(t_end) per mode."""
-        return self.increments.sum(axis=0)
-
 
 def path_generator(seed, path_id):
     key = np.array([seed, path_id], dtype=np.uint64)   # 128-bit Philox key
@@ -57,16 +50,6 @@ def sample_path(m_modes, n_steps, dt_fine, seed, path_id=0):
         * np.sqrt(dt_fine)
     return NoisePath(m_modes=m_modes, n_steps=n_steps, dt_fine=dt_fine,
                      increments=inc, seed=seed, path_id=path_id)
-
-
-def truncate(path, m_keep):
-    """Keep the first m_keep noise directions (the projection Q with n=m_keep)."""
-    if m_keep < 0 or m_keep > path.m_modes:
-        raise InvalidTruncationError(
-            f"m_keep {m_keep} outside [0, {path.m_modes}]")
-    return NoisePath(m_modes=m_keep, n_steps=path.n_steps, dt_fine=path.dt_fine,
-                     increments=path.increments[:, :m_keep],
-                     seed=path.seed, path_id=path.path_id)
 
 
 def coarsen(path, factor):
@@ -86,44 +69,6 @@ def _block_sums(increments, factor):
     """Sum (..., steps, m) increments over consecutive runs of `factor` steps."""
     *lead, steps, m = increments.shape
     return increments.reshape(*lead, steps // factor, factor, m).sum(axis=-2)
-
-
-def dump_increments(path, file):
-    """Binary dump: 16-byte header (magic, u32 n_steps, u32 m_modes) then
-    the increment matrix as little-endian float64, row-major."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "wb")
-        close = True
-    try:
-        file.write(MAGIC)
-        file.write(struct.pack("<II", path.n_steps, path.m_modes))
-        file.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-    finally:
-        if close:
-            file.close()
-
-
-def load_increments(file, dt_fine, seed=0, path_id=0):
-    """Read a dump back; dt_fine is not stored and must be supplied."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "rb")
-        close = True
-    try:
-        header = file.read(16)
-        if len(header) != 16 or header[:8] != MAGIC:
-            raise InvalidDimensionError("not a noise dump (bad magic)")
-        n_steps, m_modes = struct.unpack("<II", header[8:])
-        data = np.frombuffer(file.read(8 * n_steps * m_modes), dtype="<f8")
-        if data.size != n_steps * m_modes:
-            raise InvalidDimensionError("noise dump truncated")
-        inc = data.reshape(n_steps, m_modes).astype(float)
-    finally:
-        if close:
-            file.close()
-    return NoisePath(m_modes=m_modes, n_steps=n_steps, dt_fine=dt_fine,
-                     increments=inc, seed=seed, path_id=path_id)
 
 
 def sample_block(generators, n_steps, m_modes, dt_fine, out=None):

@@ -82,18 +82,11 @@ def save_grid(t_end, dt, save_dt):
 
 @dataclass
 class Trajectory:
-    """States at the save grid (times[0] = 0 carries the initial value)."""
+    """One path's states on its save grid; times[0] = 0 carries the
+    initial value."""
 
     times: np.ndarray          # (S+1,)
     states: np.ndarray         # (S+1, n)
-    model_name: str
-    n_modes: int
-    stepper: str
-    save_dt: float
-    seed: int = 0
-    path_id: int = 0
-    m_modes: int = 0
-    blew_up_at: float = None   # an ensemble path's blow-up time, None while finite
 
     def h_norms(self):
         return np.linalg.norm(self.states, axis=-1)
@@ -102,40 +95,16 @@ class Trajectory:
 @dataclass
 class TrajectoryEnsemble:
     """M paths on one save grid, kept as arrays: states (M, S+1, n), NaN
-    from a path's blow-up on, and blow_t (M,), the blow-up times, NaN for
-    paths that stayed finite."""
+    from a path's blow-up on; blow_t (M,), the blow-up times, NaN for
+    paths that stayed finite; and the model and basis they were solved
+    with."""
 
     states: np.ndarray
     blow_t: np.ndarray
     times: np.ndarray          # (S+1,)
     save_dt: float
-    model: object = None
-    basis: object = None
-    stepper: str = None
-    seed: int = 0
-    m_modes: int = 0
-
-    @property
-    def M(self):
-        return len(self.states)
-
-    @property
-    def trajectories(self):
-        """One Trajectory per path, built on each read; its states are a
-        view of the ensemble's."""
-        return [Trajectory(times=self.times, states=self.states[i],
-                           model_name=self.model.name, n_modes=self.states.shape[-1],
-                           stepper=self.stepper, save_dt=self.save_dt,
-                           seed=self.seed, path_id=i, m_modes=self.m_modes,
-                           blew_up_at=None if np.isnan(b) else float(b))
-                for i, b in enumerate(self.blow_t)]
-
-    def stacked(self):
-        """The (M, S+1, n) states, not a copy."""
-        return self.states
-
-    def blown_count(self):
-        return int(np.count_nonzero(~np.isnan(self.blow_t)))
+    model: object
+    basis: object
 
 
 def fit_noise_columns(increments, needed):
@@ -314,17 +283,12 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
         raise NonfiniteStateError(
             f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
             time=float(run.blow_t[0]), path_id=noise_path.path_id)
-    times = save_dt * np.arange(steps // save_every + 1)
-    return Trajectory(times=times, states=run.saved[0], model_name=model.name,
-                      n_modes=basis.n_modes, stepper=stepper, save_dt=save_dt,
-                      seed=noise_path.seed, path_id=noise_path.path_id,
-                      m_modes=noise_path.m_modes)
+    return Trajectory(times=save_dt * np.arange(steps // save_every + 1),
+                      states=run.saved[0])
 
 
 def project_initial(basis, x0):
     """Realize P_n x: pad or truncate a coefficient vector to n_modes."""
-    if isinstance(x0, sb.GalerkinState):
-        x0 = x0.coeffs
     x0 = np.asarray(x0, float).ravel()
     n = basis.n_modes
     if x0.size >= n:
@@ -335,7 +299,7 @@ def project_initial(basis, x0):
 
 
 def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
-                   save_dt=None, m_modes=None, threads=None):
+                   save_dt=None, threads=None):
     """M independent paths, path_id = 0..M-1, reproducible for a fixed M.
 
     Paths run in blocks through `run_blocks`, each keeping its whole save
@@ -346,7 +310,6 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
     stepper = stepper or model.default_stepper
     save_dt = save_dt if save_dt is not None else dt
     steps, save_every = save_grid(t_end, dt, save_dt)
-    m = m_modes if m_modes is not None else model.noise_modes(basis)
     c0 = project_initial(basis, x0)
     times = save_dt * np.arange(steps // save_every + 1)
 
@@ -357,14 +320,13 @@ def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
         all_states[lo:hi] = run.saved
         all_blow[lo:hi] = run.blow_t
 
-    run_blocks(M, seed, m, steps, dt,
+    run_blocks(M, seed, model.noise_modes(basis), steps, dt,
                lambda lo, hi: start_block(model, basis, c0, hi - lo, steps, dt,
                                           stepper, save_every),
                lambda run, chunk: _advance_block(model, basis, run, chunk),
                finish, threads=threads)
     return TrajectoryEnsemble(states=all_states, blow_t=all_blow, times=times,
-                              save_dt=save_dt, model=model, basis=basis,
-                              stepper=stepper, seed=seed, m_modes=m)
+                              save_dt=save_dt, model=model, basis=basis)
 
 
 def trajectory_csv_rows(traj, model, basis):

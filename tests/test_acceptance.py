@@ -65,7 +65,7 @@ def test_criterion_2_exact_solution_oracles():
     for stepper in sv.STEPPERS:
         ens = sv.solve_ensemble(m0, b, unit(8), M=1, seed=0, stepper=stepper,
                                 t_end=1.0, dt=1e-3, save_dt=0.1)
-        err = abs(ens.trajectories[0].h_norms()[-1] - np.exp(-1.0))
+        err = abs(np.linalg.norm(ens.states[0], axis=-1)[-1] - np.exp(-1.0))
         decay_ok &= err <= 1e-3
 
     # OU stationary variance at M = 1e4
@@ -74,7 +74,7 @@ def test_criterion_2_exact_solution_oracles():
     M = 10000
     ens = sv.solve_ensemble(m, b4, np.zeros(4), M=M, seed=1, t_end=6.0,
                             dt=1e-3, save_dt=6.0)
-    term = np.stack([t.states[-1] for t in ens.trajectories])
+    term = ens.states[:, -1]
     lam = b4.eigenvalues
     exact = (0.5 / (1 + lam)) ** 2 / (2 * lam)
     var = term.var(axis=0, ddof=1)
@@ -88,7 +88,7 @@ def test_criterion_2_exact_solution_oracles():
         for dt in dts:
             e = sv.solve_ensemble(m0, b, unit(8), M=1, seed=0, stepper=stepper,
                                   t_end=1.0, dt=dt, save_dt=0.2)
-            errs.append(abs(e.trajectories[0].h_norms()[-1] - np.exp(-1.0)))
+            errs.append(abs(np.linalg.norm(e.states[0], axis=-1)[-1] - np.exp(-1.0)))
         orders.append(dg.loglog_fit(dts, errs)[0])
     order_ok = all(abs(s - 1.0) <= 0.1 for s in orders)
 
@@ -187,8 +187,7 @@ def test_criterion_5_galerkin_convergence():
     tabp = dg.galerkin_convergence(mp, xp, [4, 8, 16, 32], M=500, seed=17,
                                    t_end=0.2, dt=1e-4, save_dt=2e-3,
                                    alpha=4.0, stepper="explicit-tamed")
-    est = tabp.estimates()
-    se = tabp.std_errors()
+    _, est, se, _ = np.array(tabp.rows).T
     dec_ok = all(est[i + 1] <= est[i] + 2 * np.hypot(se[i], se[i + 1])
                  for i in range(len(est) - 1))
     ratio_ok = est[-1] <= 0.25 * est[0]
@@ -217,8 +216,7 @@ def test_criterion_6_initial_data_continuity():
     tabc = dg.initial_data_continuity(mc, bc, unit(16), unit(16, 1), eps,
                                       p=2.0, M=200, seed=5, t_end=0.5,
                                       dt=1e-3, save_dt=1e-2)
-    est = tabc.estimates()
-    se = tabc.std_errors()
+    _, est, se, _ = np.array(tabc.rows).T
     mono_ok = all(est[i + 1] <= est[i] + 2 * np.hypot(se[i], se[i + 1])
                   for i in range(len(est) - 1))
     final_ok = est[-1] <= 0.1 * est[0]
@@ -260,7 +258,7 @@ def test_criterion_8_part2_threshold(tmp_path):
     b = m.make_basis(16)
     ens = sv.solve_ensemble(m, b, unit(16), M=2000, seed=13, t_end=1.0,
                             dt=1e-3, save_dt=2e-2)
-    st = ens.stacked()
+    st = ens.states
     second = np.mean(np.sum(st * st, axis=-1), axis=0)
     t = ens.times
     slope, intercept = np.polyfit(t, np.log(second), 1)

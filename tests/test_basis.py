@@ -51,27 +51,25 @@ def test_build_basis_preconditions():
         sb.build_basis("no-such-kind", 4, 64)
 
 
-def test_synthesize_zero_and_single_mode():
+def test_grid_values_zero_and_single_mode():
     b = sb.build_basis("dirichlet-interval", 4, 64)
-    assert np.all(sb.synthesize(b, np.zeros(4)) == 0)
-    vals = sb.synthesize(b, [1.0, 0, 0, 0])
+    assert np.all(np.zeros(4) @ b.fns == 0)
+    vals = np.array([1.0, 0, 0, 0]) @ b.fns
     assert np.allclose(vals, np.sqrt(2 / np.pi) * np.sin(b.nodes), atol=1e-14)
 
 
-def test_synthesize_dimension_mismatch():
+def test_analyze_dimension_mismatch():
     b = sb.build_basis("dirichlet-interval", 4, 64)
-    with pytest.raises(DimensionMismatchError):
-        sb.synthesize(b, np.ones(5))
     with pytest.raises(DimensionMismatchError):
         sb.analyze(b, np.ones(7))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_roundtrip_analyze_synthesize(seed):
+def test_roundtrip_analyze_grid_values(seed):
     b = sb.build_basis("periodic-torus", 7, 28)
     u = np.random.default_rng(seed).standard_normal(7)
-    back = sb.analyze(b, sb.synthesize(b, u))
+    back = sb.analyze(b, u @ b.fns)
     assert np.max(np.abs(back - u)) < 1e-10
 
 
@@ -103,7 +101,7 @@ def test_h_norm_quadrature_oracle():
     b = sb.build_basis("dirichlet-interval", 10, 40)
     u = sb.sample_coeffs(b, 32, seed=5)
     h = sb.h_norm(b, u)
-    grid_sq = np.sum(sb.synthesize(b, u) ** 2 * b.weights, axis=-1)
+    grid_sq = np.sum((u @ b.fns) ** 2 * b.weights, axis=-1)
     assert np.all(np.abs(h ** 2 - grid_sq) <= 1e-9 * (1.0 + h ** 2))
 
 
@@ -136,16 +134,6 @@ def test_v_norm_unknown_kind():
 
     with pytest.raises(UnsupportedModelNormError):
         sb.v_norm(b, NoNorm(), np.ones(4))
-
-
-def test_dual_pairing_identity():
-    b = sb.build_basis("dirichlet-interval", 4, 16)
-    e1 = np.array([1.0, 0, 0, 0])
-    assert sb.dual_pairing(b, e1, e1) == 1.0
-    rng = np.random.default_rng(0)
-    u, v = rng.standard_normal((2, 4))
-    # H-representer pairing equals the H inner product, exactly
-    assert abs(sb.dual_pairing(b, u, v) - np.dot(u, v)) <= 1e-12
 
 
 def test_dual_norm_exact_spectral():
@@ -183,8 +171,11 @@ def test_norm_chain_with_fitted_constants():
     models = [HeatOU(sigma=0.0), PLaplacian(p=4.0, c=1.0, sigma=0.0)]
     for model in models:
         b = model.make_basis(8)
-        c_emb = max(sb.fit_embedding_constant(b, model, n_samples=1024, seed=s)
-                    for s in (1, 2, 3, 4))
+        c_emb = 0.0
+        for s in (1, 2, 3, 4):      # largest observed ||u||_H / ||u||_V
+            c = sb.sample_coeffs(b, 1024, seed=s)
+            h, v = sb.h_norm(b, c), sb.v_norm(b, model, c)
+            c_emb = max(c_emb, float(np.max(h[v > 0] / v[v > 0])))
         u = sb.sample_coeffs(b, 128, seed=77)
         h = sb.h_norm(b, u)
         v = sb.v_norm(b, model, u)
@@ -198,17 +189,6 @@ def test_parseval_invariant():
         b = sb.build_basis(kind, 9, 36)
         u = sb.sample_coeffs(b, 64, seed=3)
         h2 = np.sum(u * u, axis=-1)
-        grid_sq = np.sum(sb.synthesize(b, u) ** 2 * b.weights, axis=-1)
+        grid_sq = np.sum((u @ b.fns) ** 2 * b.weights, axis=-1)
         assert np.all(np.abs(h2 - grid_sq) <= 1e-9 * (1.0 + h2))
 
-
-def test_galerkin_state_requires_finite():
-    with pytest.raises(InvalidDimensionError):
-        sb.GalerkinState(np.array([1.0, np.nan]))
-
-
-def test_state_api_matches_arrays():
-    b = sb.build_basis("dirichlet-interval", 4, 16)
-    state = sb.GalerkinState(np.array([1.0, 2.0, 0.0, -1.0]), time=0.5)
-    assert np.allclose(sb.synthesize(b, state), sb.synthesize(b, state.coeffs))
-    assert sb.h_norm(b, state) == sb.h_norm(b, state.coeffs)

@@ -7,6 +7,7 @@ import pytest
 from spde import cli
 from spde import diagnostics as dg
 from spde import models as sm
+from spde import solver as sv
 from spde.config import initial_coefficients, load_config
 from spde.errors import ConfigError
 
@@ -438,6 +439,10 @@ def test_cli_large_estimates_get_finite_std_errors(tmp_path):
     ("continuity", "perturbations", [0.1, -0.05],
      "experiment.perturbations[1] must be positive"),
     ("uniqueness", "dt_levels", "abc", "experiment.dt_levels must be a non-empty list"),
+    ("moments", "alpha", -1, "experiment.alpha must be positive"),
+    ("equicontinuity", "alpha", 0, "experiment.alpha must be positive"),
+    ("continuity", "p", -1, "experiment.p must be positive"),
+    ("continuity", "p", 0, "experiment.p must be positive"),
 ])
 def test_cli_rejects_bad_experiment_numbers(tmp_path, capsys, command, key, value,
                                             needle):
@@ -448,6 +453,32 @@ def test_cli_rejects_bad_experiment_numbers(tmp_path, capsys, command, key, valu
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "x")])
     assert_usage_error(capsys, code, needle)
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_equicontinuity_checks_deltas_before_solving(tmp_path, capsys, monkeypatch):
+    # a delta longer than the run fails before any path is solved; the
+    # default deltas keep the shifts that fit in the run
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ensemble ran")
+    monkeypatch.setattr(sv, "solve_ensemble", no_solve)
+    path = write_cfg(tmp_path, {"command": "equicontinuity", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4},
+                                "run": {"t_end": 0.2, "save_dt": 0.01, "paths": 4},
+                                "experiment": {"deltas": [0.02, 0.32]}})
+    code = cli.main(["equicontinuity", "--config", path, "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code, "t_end")
+    code = cli.main(["equicontinuity", "--model", "heat-ou", "--t-end", "0.01",
+                     "--save-dt", "0.01", "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code, "t_end")      # no default shift fits
+    monkeypatch.undo()
+    out = tmp_path / "y"
+    code = cli.main(["equicontinuity", "--model", "heat-ou", "--n-modes", "4",
+                     "--paths", "4", "--t-end", "0.2", "--save-dt", "0.01",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    keys = [float(line.split(",")[0])
+            for line in (out / "equicontinuity.csv").read_text().splitlines()[1:]]
+    assert keys == [0.02, 0.04, 0.08, 0.16]
 
 
 @pytest.mark.parametrize("key", ["deltas", "perturbations", "dt_levels"])

@@ -87,10 +87,13 @@ def test_equicontinuity_zero_for_constant_trajectory():
 
 def test_equicontinuity_delta_validation():
     m, b, ens = heat_ensemble(M=3)
-    with pytest.raises(InvalidDeltaError):
+    with pytest.raises(InvalidDeltaError, match="not a multiple of save_dt"):
         dg.equicontinuity_statistic(ens, [0.015], alpha=2)
-    with pytest.raises(InvalidDeltaError):
+    with pytest.raises(InvalidDeltaError, match="t_end"):
         dg.equicontinuity_statistic(ens, [5.0], alpha=2)   # longer than T
+    assert dg.delta_shifts([0.02, 0.2], 0.01, 0.2) == [2, 20]
+    with pytest.raises(InvalidDeltaError, match="t_end 0.2"):
+        dg.delta_shifts([0.21], 0.01, 0.2)
 
 
 def test_equicontinuity_rate_and_monotonicity():
@@ -99,8 +102,7 @@ def test_equicontinuity_rate_and_monotonicity():
     tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
     slope, _, r2 = tab.fitted_rate
     assert slope >= 0.35 and r2 >= 0.9
-    est = tab.estimates()
-    se = tab.std_errors()
+    _, est, se, _ = np.array(tab.rows).T
     assert np.all(est >= 0)
     # nondecreasing in delta within 2 SE
     assert np.all(np.diff(est) >= -2.0 * np.hypot(se[1:], se[:-1]))
@@ -235,12 +237,11 @@ def test_equicontinuity_drops_survivors_with_nonfinite_statistic():
     ref = dg.equicontinuity_statistic(
         dataclasses.replace(ens, states=ens.states[1:], blow_t=ens.blow_t[1:]),
         deltas, alpha=2)
-    ens.trajectories[0].states[-1] = 1e200
+    ens.states[0, -1] = 1e200
     tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
     assert tab.extra["n_blown"] == 1
     assert tab.rows == ref.rows and [r[3] for r in tab.rows] == [39, 39]
-    for t in ens.trajectories[1:]:
-        t.states[-1] = 1e200
+    ens.states[1:, -1] = 1e200
     with pytest.raises(NonfiniteStateError, match="all 40 paths"):
         dg.equicontinuity_statistic(ens, deltas, alpha=2)
 
@@ -384,7 +385,7 @@ def test_continuity_and_uniqueness_count_blowups():
     b = m.make_basis(4)
     kw = dict(M=40, seed=2, t_end=1.0)
     ens = sv.solve_ensemble(m, b, np.zeros(4), dt=1e-2, save_dt=1e-2, **kw)
-    base_blown = ens.blown_count()
+    base_blown = np.count_nonzero(~np.isnan(ens.blow_t))
     assert base_blown > 0
     cont = dg.initial_data_continuity(m, b, np.zeros(4), unit(4), [0.1, 0.05], 2.0,
                                       dt=1e-2, **kw)
@@ -476,7 +477,7 @@ def test_moment_report_counts_overflowing_survivors():
     m = sm.HeatOU(sigma=50.0)
     ens = sv.solve_ensemble(m, m.make_basis(4), unit(4), M=40, seed=0, t_end=0.1,
                             dt=1e-3)
-    assert ens.blown_count() == 0
+    assert np.all(np.isnan(ens.blow_t))
     tab = dg.moment_report(ens, 300.0, 2.0)
     assert tab.extra["n_blown"] == 17
     for _, est, se, M in tab.rows:
@@ -504,11 +505,11 @@ def test_continuity_and_uniqueness_all_blown_raise():
 def per_path_moments(ens, p, alpha):
     """moment_report's rows by one path at a time, over the survivors."""
     sup_p, vint_p = [], []
-    for t in ens.trajectories:
-        if t.blew_up_at is None:
-            sup_p.append(np.max(t.h_norms()) ** p)
-            v = sb.v_norm(ens.basis, ens.model, t.states)
-            vint_p.append(np.trapezoid(v ** alpha, dx=t.save_dt) ** (p / 2.0))
+    for states, blow_t in zip(ens.states, ens.blow_t):
+        if np.isnan(blow_t):
+            sup_p.append(np.max(np.linalg.norm(states, axis=-1)) ** p)
+            v = sb.v_norm(ens.basis, ens.model, states)
+            vint_p.append(np.trapezoid(v ** alpha, dx=ens.save_dt) ** (p / 2.0))
     return [(0.0, *dg._mean_se(sup_p)), (1.0, *dg._mean_se(vint_p))]
 
 

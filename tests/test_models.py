@@ -115,10 +115,8 @@ def _fine_quadrature_pairing(model, basis, u, v):
     """Weak form evaluated independently on a 4x finer grid."""
     fine = model.make_basis(basis.n_modes, 4 * basis.grid_size)
     w = fine.weights
-    uu = sb.synthesize(fine, u)
-    du = sb.synthesize_derivative(fine, u)
-    vv = sb.synthesize(fine, v)
-    dv = sb.synthesize_derivative(fine, v)
+    uu, du = u @ fine.fns, u @ fine.dfns
+    vv, dv = v @ fine.fns, v @ fine.dfns
     name = model.name
     if name in ("heat-ou", "gradient-noise-heat"):
         return -np.sum(du * dv * w)
@@ -131,8 +129,8 @@ def _fine_quadrature_pairing(model, basis, u, v):
         return -np.sum(flux * dv * w)
     if name == "cahn-hilliard":
         lam = fine.eigenvalues
-        ddu = sb.synthesize(fine, -lam * np.asarray(u))
-        ddv = sb.synthesize(fine, -lam * np.asarray(v))
+        ddu = (-lam * u) @ fine.fns
+        ddv = (-lam * v) @ fine.fns
         return -np.sum(ddu * ddv * w) + np.sum(model.phi(uu) * ddv * w)
     raise AssertionError(name)
 
@@ -147,7 +145,7 @@ def test_weak_form_consistency(name):
     for _ in range(6):
         u = rng.standard_normal(8) / (1.0 + basis.eigenvalues) ** 0.5
         v = rng.standard_normal(8) / (1.0 + basis.eigenvalues) ** 0.5
-        got = sb.dual_pairing(basis, model.apply_A(basis, 0.0, u), v)
+        got = np.sum(model.apply_A(basis, 0.0, u) * v, axis=-1)
         ref = _fine_quadrature_pairing(model, basis, u, v)
         assert abs(got - ref) <= 1e-6 * (1.0 + abs(ref))
 

@@ -1,11 +1,12 @@
-import io
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spde import noise as sn
-from spde.errors import IndivisibleFactorError, InvalidDimensionError, InvalidTruncationError
+from spde import solver as sv
+from spde.errors import IndivisibleFactorError, InvalidDimensionError
 
 
 def test_determinism_same_key():
@@ -103,31 +104,29 @@ def test_coarsened_variance():
     assert factor * dt * 0.95 <= var <= factor * dt * 1.05
 
 
-def test_truncate_identity_zero_and_coupling():
+def test_fit_noise_columns_identity_zero_coupling_and_pad():
     p = sn.sample_path(6, 64, 1e-2, seed=1)
-    assert np.array_equal(sn.truncate(p, 6).increments, p.increments)
-    z = sn.truncate(p, 0)
-    assert z.increments.shape == (64, 0)
-    t4 = sn.truncate(p, 4)
-    t2 = sn.truncate(p, 2)
-    assert np.array_equal(t4.increments[:, :2], t2.increments)
-
-
-def test_truncate_bounds():
-    p = sn.sample_path(3, 10, 1e-2, seed=1)
-    with pytest.raises(InvalidTruncationError):
-        sn.truncate(p, 4)
+    assert np.array_equal(sv.fit_noise_columns(p.increments, 6), p.increments)
+    z = sv.fit_noise_columns(p.increments, 0)
+    assert z.shape == (64, 0)
+    t4 = sv.fit_noise_columns(p.increments, 4)
+    t2 = sv.fit_noise_columns(p.increments, 2)
+    assert np.array_equal(t4[:, :2], t2)
+    padded = sv.fit_noise_columns(p.increments, 9)
+    assert padded.shape == (64, 9)
+    assert np.array_equal(padded[:, :6], p.increments)
+    assert np.all(padded[:, 6:] == 0.0)
 
 
 @given(st.integers(1, 6), st.integers(0, 6))
 @settings(max_examples=30, deadline=None)
-def test_truncation_nesting(a, b):
+def test_fit_noise_columns_nesting(a, b):
     if b > a:
         a, b = b, a
     p = sn.sample_path(6, 32, 1e-2, seed=3)
-    lhs = sn.truncate(sn.truncate(p, a), b)
-    rhs = sn.truncate(p, b)
-    assert np.array_equal(lhs.increments, rhs.increments)
+    lhs = sv.fit_noise_columns(sv.fit_noise_columns(p.increments, a), b)
+    rhs = sv.fit_noise_columns(p.increments, b)
+    assert np.array_equal(lhs, rhs)
 
 
 def test_coarsen_identity_and_telescoping():
@@ -135,15 +134,15 @@ def test_coarsen_identity_and_telescoping():
     assert sn.coarsen(p, 1) is p
     full = sn.coarsen(p, 128)
     assert full.n_steps == 1
-    assert np.allclose(full.increments[0], p.terminal(), rtol=1e-12)
+    assert np.allclose(full.increments[0], p.increments.sum(axis=0), rtol=1e-12)
 
 
 def test_coarsen_preserves_terminal():
     p = sn.sample_path(3, 120, 1e-3, seed=21)
     for factor in (2, 3, 4, 6):
         c = sn.coarsen(p, factor)
-        ref = p.terminal()
-        err = np.abs(c.terminal() - ref)
+        ref = p.increments.sum(axis=0)
+        err = np.abs(c.increments.sum(axis=0) - ref)
         assert np.all(err <= 1e-12 * (1.0 + np.abs(ref)))
         assert c.dt_fine == pytest.approx(factor * 1e-3)
 
@@ -154,11 +153,13 @@ def test_coarsen_indivisible():
         sn.coarsen(p, 7)
 
 
-def test_commutation_coarsen_truncate():
+def test_commutation_coarsen_fit_noise_columns():
     p = sn.sample_path(5, 60, 1e-2, seed=30)
-    lhs = sn.coarsen(sn.truncate(p, 3), 5)
-    rhs = sn.truncate(sn.coarsen(p, 5), 3)
-    assert np.array_equal(lhs.increments, rhs.increments)
+    kept = dataclasses.replace(p, m_modes=3,
+                               increments=sv.fit_noise_columns(p.increments, 3))
+    lhs = sn.coarsen(kept, 5).increments
+    rhs = sv.fit_noise_columns(sn.coarsen(p, 5).increments, 3)
+    assert np.array_equal(lhs, rhs)
 
 
 def test_mode_independence():
@@ -167,24 +168,6 @@ def test_mode_independence():
     corr = np.corrcoef(x.T)
     off = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off)) <= 4.0 / np.sqrt(40000)
-
-
-def test_dump_and_load_roundtrip():
-    p = sn.sample_path(3, 17, 5e-3, seed=6, path_id=2)
-    buf = io.BytesIO()
-    sn.dump_increments(p, buf)
-    raw = buf.getvalue()
-    assert raw[:8] == b"SPDEWNR1"
-    assert len(raw) == 16 + 8 * 17 * 3
-    buf.seek(0)
-    q = sn.load_increments(buf, dt_fine=5e-3)
-    assert q.n_steps == 17 and q.m_modes == 3
-    assert np.array_equal(q.increments, p.increments)
-
-
-def test_load_rejects_bad_magic():
-    with pytest.raises(InvalidDimensionError):
-        sn.load_increments(io.BytesIO(b"NOTMAGIC" + b"\0" * 8), dt_fine=1e-3)
 
 
 def test_sample_path_validates():

@@ -161,7 +161,8 @@ def test_solve_path_validations():
     with pytest.raises(ConfigError):
         sv.solve_path(m, b, unit(4), path, "semi-implicit", 1.0, 0.01)  # too short
     with pytest.raises(ConfigError):
-        sv.solve_path(m, b, unit(4), sn.truncate(path, 2), "semi-implicit", 0.1, 0.01)
+        sv.solve_path(m, b, unit(4), sn.sample_path(2, 100, 1e-3, seed=1),
+                      "semi-implicit", 0.1, 0.01)
     with pytest.raises(ConfigError):
         sv.solve_path(m, b, unit(4), path, "no-such-stepper", 0.1, 0.01)
 
@@ -179,7 +180,7 @@ def test_ensemble_m1_equals_solve_path():
                             save_dt=0.05)
     path = sn.sample_path(4, 500, 1e-3, seed=3, path_id=0)
     traj = sv.solve_path(m, b, unit(4), path, "semi-implicit", 0.5, 0.05)
-    assert np.array_equal(ens.trajectories[0].states, traj.states)
+    assert np.array_equal(ens.states[0], traj.states)
 
 
 def test_ensemble_reproducible_and_thread_invariant():
@@ -189,8 +190,8 @@ def test_ensemble_reproducible_and_thread_invariant():
     a = sv.solve_ensemble(m, b, unit(8), M=600, seed=5, **kw)
     bb = sv.solve_ensemble(m, b, unit(8), M=600, seed=5, **kw)
     cc = sv.solve_ensemble(m, b, unit(8), M=600, seed=5, threads=4, **kw)
-    assert np.array_equal(a.stacked(), bb.stacked())
-    assert np.array_equal(a.stacked(), cc.stacked())
+    assert np.array_equal(a.states, bb.states)
+    assert np.array_equal(a.states, cc.states)
 
 
 def test_ensemble_mean_matches_ou_mean():
@@ -199,7 +200,7 @@ def test_ensemble_mean_matches_ou_mean():
     M, t_end = 4000, 1.0
     ens = sv.solve_ensemble(m, b, unit(4), M=M, seed=11, t_end=t_end,
                             dt=1e-3, save_dt=1.0)
-    term = np.stack([t.states[-1] for t in ens.trajectories])
+    term = ens.states[:, -1]
     mean1 = term[:, 0].mean()
     se = term[:, 0].std(ddof=1) / np.sqrt(M)
     assert abs(mean1 - np.exp(-t_end)) <= 3 * se + 1e-3  # 1e-3 scheme bias
@@ -211,7 +212,7 @@ def test_ou_stationary_variance():
     M = 4000
     ens = sv.solve_ensemble(m, b, np.zeros(4), M=M, seed=2, t_end=6.0,
                             dt=1e-3, save_dt=6.0)
-    term = np.stack([t.states[-1] for t in ens.trajectories])
+    term = ens.states[:, -1]
     lam = b.eigenvalues
     sig_k = 0.5 / (1.0 + lam)
     exact = sig_k ** 2 / (2.0 * lam)
@@ -235,8 +236,7 @@ def test_blowup_raises_with_path_id():
 
     ens = sv.solve_ensemble(m, b, 10.0 * unit(4), M=3, seed=0, t_end=50.0,
                             dt=0.05, save_dt=0.05, stepper="semi-implicit")
-    assert ens.blown_count() == 3
-    assert all(t.blew_up_at is not None for t in ens.trajectories)
+    assert np.count_nonzero(~np.isnan(ens.blow_t)) == 3
 
 
 def test_energy_identity_residual_rate():
@@ -367,7 +367,7 @@ def test_finiteness_guard_adds_no_warning():
         warnings.simplefilter("error")
         ens = sv.solve_ensemble(m, b, unit(8), M=20, seed=1, t_end=0.05,
                                 dt=1e-3, save_dt=0.01)
-    assert ens.blown_count() == 0
+    assert np.all(np.isnan(ens.blow_t))
 
 
 def test_ensemble_streams_in_bounded_chunks(monkeypatch):
@@ -376,7 +376,7 @@ def test_ensemble_streams_in_bounded_chunks(monkeypatch):
     m = sm.ConvectionDiffusion(0.5)
     b = m.make_basis(8)
     kw = dict(t_end=0.1, dt=1e-3, save_dt=0.01)
-    ref = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).stacked()
+    ref = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).states
     shapes = []
     draw = sn.sample_block
 
@@ -386,7 +386,7 @@ def test_ensemble_streams_in_bounded_chunks(monkeypatch):
         return out
     monkeypatch.setattr(sn, "sample_block", spy)
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 8 * 256 * 30)
-    got = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).stacked()
+    got = sv.solve_ensemble(m, b, unit(8), M=300, seed=5, **kw).states
     assert np.array_equal(got, ref)
     assert sorted(set(shapes)) == [(10, 256, 8), (30, 256, 8), (100, 44, 8)]
 
