@@ -233,15 +233,14 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
     return _merge(report, side)
 
 
-def check_coercivity(model, basis, n_samples=1000, seed=0, variant=None):
+def check_coercivity(model, basis, n_samples=1000, seed=0):
     """(H3): 2<A(u),u> + ||B(u)||^2 <= f (1+||u||_H^2) - c ||u||_V^alpha.
     (H3)*: <A(u),u> <= f (1+||u||_H^2) - L_A ||u||_V^alpha.
 
     Also fits the largest coefficient c passing every sample.
     """
     hyp = _need_hypothesis(model)
-    if variant is None:
-        variant = "H3star" if hyp.part2 else "H3"
+    variant = "H3star" if hyp.part2 else "H3"
     us = sb.sample_coeffs(basis, n_samples, seed)
     ts = _times(n_samples, seed + 1)
     h2 = np.sum(us * us, axis=-1)
@@ -262,7 +261,7 @@ def check_coercivity(model, basis, n_samples=1000, seed=0, variant=None):
     return _report(variant, margins, scales, ts, fitted, us)
 
 
-def check_growth(model, basis, n_samples=1000, seed=0, variant=None, n_probe=128):
+def check_growth(model, basis, n_samples=1000, seed=0):
     """(H4): ||A(u)||_{V*}^{alpha/(alpha-1)} <= (f + C ||u||_V^alpha)(1+||u||_H^beta).
     (H4)*: ... <= f (1+||u||_H^{2+beta}) + C ||u||_V^alpha (1+||u||_H^beta).
 
@@ -270,14 +269,13 @@ def check_growth(model, basis, n_samples=1000, seed=0, variant=None, n_probe=128
     lower bound otherwise, so the audit is conservative.
     """
     hyp = _need_hypothesis(model)
-    if variant is None:
-        variant = "H4star" if hyp.part2 else "H4"
+    variant = "H4star" if hyp.part2 else "H4"
     us = sb.sample_coeffs(basis, n_samples, seed)
     ts = _times(n_samples, seed + 1)
     hn = sb.h_norm(basis, us)
     vn = sb.v_norm(basis, model, us)
     a = model.apply_A(basis, 0.0, us)
-    dual = sb.dual_norm_estimate(basis, model, a, n_probe=max(n_probe, 32), seed=seed + 2)
+    dual = sb.dual_norm_estimate(basis, model, a, seed=seed + 2)
     expo = model.alpha / (model.alpha - 1.0)
     lhs = dual ** expo
     if variant == "H4":
@@ -294,14 +292,13 @@ def check_growth(model, basis, n_samples=1000, seed=0, variant=None, n_probe=128
     return _report(variant, margins, scales, ts, fitted, us)
 
 
-def check_noise(model, basis, n_samples=1000, seed=0, variant=None):
+def check_noise(model, basis, n_samples=1000, seed=0):
     """(H5): ||B(u)||^2 <= g (1+||u||_H^2) plus H-continuity of B.
     (H5)*: ||B(u)||^2 <= g (1+||u||_H^2) + L_B ||u||_V^alpha; fits the
     smallest L_B passing all samples.
     """
     hyp = _need_hypothesis(model)
-    if variant is None:
-        variant = "H5star" if hyp.part2 else "H5"
+    variant = "H5star" if hyp.part2 else "H5"
     us = sb.sample_coeffs(basis, n_samples, seed)
     ts = _times(n_samples, seed + 1)
     h2 = np.sum(us * us, axis=-1)
@@ -337,13 +334,12 @@ def check_noise(model, basis, n_samples=1000, seed=0, variant=None):
     return report
 
 
-def check_chi_threshold(model_or_spec, alpha=None):
+def check_chi_threshold(model_or_spec):
     """Moment threshold of the starred framework: chi from the two-case
     display, the condition L_B < 2 L_A / chi, and the admissible moment
     range [2, 1 + 2 L_A / L_B)."""
     hyp = getattr(model_or_spec, "hypothesis", model_or_spec)
-    if alpha is None:
-        alpha = getattr(model_or_spec, "alpha", None)
+    alpha = getattr(model_or_spec, "alpha", None)
     if hyp is None or alpha is None:
         raise IncompleteSpecError("need a hypothesis spec and alpha")
     chi = hyp.chi(alpha)
@@ -373,7 +369,6 @@ def applicable_conditions(model):
 
 def run_all(model, basis, n_samples=1000, seed=0):
     """Every applicable condition report for the model, in a fixed order."""
-    hyp = _need_hypothesis(model)
     out = []
     for cond in applicable_conditions(model):
         if cond == "H1":

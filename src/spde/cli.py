@@ -83,7 +83,7 @@ def run(cfg):
     basis = cfg.build_basis(model)
     run_sec = cfg.run
     seed = run_sec["seed"]
-    stepper = run_sec.get("stepper") or model.default_stepper
+    stepper = run_sec.get("stepper")
     threads = run_sec.get("threads")
 
     if cfg.command == "check":
@@ -103,12 +103,13 @@ def run(cfg):
                            for r in reports}})
         return EXIT_OK if total == 0 else EXIT_VIOLATIONS
 
+    x0 = _x0(cfg, basis.n_modes)
     if cfg.command == "simulate":
         path = sn.sample_path(model.noise_modes(basis),
                               int(round(run_sec["t_end"] / run_sec["dt"])),
                               run_sec["dt"], seed, 0)
-        traj = sv.solve_path(model, basis, _x0(cfg, basis.n_modes), path,
-                             stepper, run_sec["t_end"], run_sec["save_dt"])
+        traj = sv.solve_path(model, basis, x0, path, stepper, run_sec["t_end"],
+                             run_sec["save_dt"])
         _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"),
                    sv.trajectory_csv_rows(traj, model, basis))
         h_final = float(traj.h_norms()[-1])
@@ -117,66 +118,43 @@ def run(cfg):
                                      "final_h_norm": h_final})
         return EXIT_OK
 
-    if cfg.command in ("moments", "equicontinuity"):
-        alpha = float(cfg.experiment.get("alpha", model.alpha))
-        save_dt, t_end = run_sec["save_dt"], run_sec["t_end"]
-        # fail before solving
-        if cfg.command == "moments":
-            p = float(cfg.experiment.get("p", 2.0))
-            dg.check_moment_exponent(model, p)
-        else:
-            deltas = cfg.experiment.get("deltas")
-            if deltas is None:
-                # the default shifts that fit in the run; when none does,
-                # the first, which delta_shifts rejects naming t_end
-                n_saves = round(t_end / save_dt)
-                deltas = [k * save_dt for k in (2, 4, 8, 16, 32)
-                          if k <= n_saves] or [2 * save_dt]
-            dg.delta_shifts(deltas, save_dt, t_end)
-        ens = sv.solve_ensemble(model, basis, _x0(cfg, basis.n_modes),
-                                run_sec["paths"], seed, stepper, t_end,
-                                run_sec["dt"], save_dt, threads=threads)
-        if cfg.command == "moments":
-            table = dg.moment_report(ens, p, alpha)
-        else:
-            table = dg.equicontinuity_statistic(ens, deltas, alpha)
-        name = cfg.command
+    exp, dt = cfg.experiment, run_sec["dt"]
+    alpha = float(exp.get("alpha", model.alpha))
+    p = float(exp.get("p", 2.0))
+    kw = dict(M=run_sec["paths"], seed=seed, t_end=run_sec["t_end"],
+              save_dt=run_sec.get("save_dt"), stepper=stepper, threads=threads)
+    if cfg.command == "moments":
+        table = dg.moment_report(model, basis, x0, p, alpha, dt=dt, **kw)
+    elif cfg.command == "equicontinuity":
+        deltas = exp.get("deltas")
+        if deltas is None:
+            # the default shifts that fit in the run; when none does, the
+            # first, which diagnostics.delta_shifts rejects naming t_end
+            save_dt = kw["save_dt"]
+            deltas = [k * save_dt for k in (2, 4, 8, 16, 32)
+                      if k <= round(kw["t_end"] / save_dt)] or [2 * save_dt]
+        table = dg.equicontinuity_statistic(model, basis, x0, deltas, alpha, dt=dt, **kw)
     elif cfg.command == "converge":
-        alpha = float(cfg.experiment.get("alpha", model.alpha))
-        levels = cfg.experiment.get("levels", [8, 16, 32])
-        table = dg.galerkin_convergence(
-            model, _x0(cfg, max(levels)), levels, run_sec["paths"], seed,
-            run_sec["t_end"], run_sec["dt"], run_sec["save_dt"], alpha, stepper,
-            threads=threads)
-        name = "converge"
+        levels = exp.get("levels", [8, 16, 32])
+        table = dg.galerkin_convergence(model, _x0(cfg, max(levels)), levels,
+                                        alpha=alpha, dt=dt, **kw)
     elif cfg.command == "continuity":
-        p = float(cfg.experiment.get("p", 2.0))
-        eps = cfg.experiment.get("perturbations", [0.1 / 2 ** j for j in range(5)])
-        direction = cfg.experiment.get("direction", "e1")
-        table = dg.initial_data_continuity(
-            model, basis, _x0(cfg, basis.n_modes),
-            initial_coefficients(direction, basis.n_modes), eps, p,
-            run_sec["paths"], seed, run_sec["t_end"], run_sec["dt"],
-            run_sec["save_dt"], stepper, threads=threads)
-        name = "continuity"
+        eps = exp.get("perturbations", [0.1 / 2 ** j for j in range(5)])
+        direction = initial_coefficients(exp.get("direction", "e1"), basis.n_modes)
+        table = dg.initial_data_continuity(model, basis, x0, direction, eps, p, dt=dt,
+                                           **kw)
     elif cfg.command == "uniqueness":
-        dt_levels = cfg.experiment.get("dt_levels")
-        if dt_levels is None:
-            dt_levels = [run_sec["dt"] * 2 ** k for k in (3, 2, 1, 0)]
-        mode = cfg.experiment.get("mode", "dt-refinement")
-        table = dg.uniqueness_probe(
-            model, basis, _x0(cfg, basis.n_modes), run_sec["paths"], seed,
-            dt_levels, run_sec["t_end"], run_sec.get("save_dt"), stepper, mode,
-            threads=threads)
-        name = "uniqueness"
+        dt_levels = exp.get("dt_levels") or [dt * 2 ** k for k in (3, 2, 1, 0)]
+        table = dg.uniqueness_probe(model, basis, x0, dt_levels=dt_levels,
+                                    mode=exp.get("mode", "dt-refinement"), **kw)
     else:
         raise ConfigError(f"unhandled command {cfg.command!r}")
 
-    dg.write_table(table, os.path.join(cfg.out_dir, f"{name}.csv"))
-    payload = {"command": name, "model": model.name}
+    dg.write_table(table, os.path.join(cfg.out_dir, f"{cfg.command}.csv"))
+    payload = {"command": cfg.command, "model": model.name}
     payload.update(table.summary_dict())
     _write_summary(cfg.out_dir, payload)
-    lines = [f"{name} {model.name}:"]
+    lines = [f"{cfg.command} {model.name}:"]
     for k, est, se, m in table.rows:
         lines.append(f"  key={k:g} estimate={est:.6g} se={se:.3g} M={m}")
     if table.fitted_rate is not None:

@@ -1,11 +1,14 @@
 """Desk-scale statistical experiments behind the qualitative theory.
 
-Each experiment produces a DiagnosticTable: keyed Monte Carlo estimates
-with standard errors and, where a rate is asserted, a log-log fit.
+Each of the five experiments takes a model and produces a
+DiagnosticTable: keyed Monte Carlo estimates with standard errors and,
+where a rate is asserted, a log-log fit.  Each runs its paths in blocks
+through solver.run_blocks and reduces a block to per-path statistics
+before it lets the block go, so memory is bounded in the path count M.
 Exploded paths are discarded and counted rather than truncated by
-stopping times; the count is itself part of the diagnostic.  sup over
-[0, T] is read on the save grid, time integrals use the trapezoid rule
-on the save grid.
+stopping times; the count is itself part of the diagnostic
+(_survivor_rows).  sup over [0, T] is read on the save grid, time
+integrals use the trapezoid rule on the save grid.
 """
 
 import math
@@ -83,13 +86,12 @@ def _row_max(vals):
     return np.max(vals, axis=1, initial=-np.inf)
 
 
-def _path_slices(ensemble, width):
-    """The ensemble's (k, S+1, n) states, k paths at a time with
+def _path_slices(states, width):
+    """A block's (paths, S+1, n) states, k paths at a time with
     k * (S+1) * width at most REDUCE_VALUES (at least one path), so that
-    a reduction's temporaries of last axis `width` stay bounded.  Each
-    path is reduced as a one-path array would be: the row reductions run
-    along the last axis and the matmuls path by path."""
-    states = ensemble.states
+    a reduction's temporaries of last axis `width` stay bounded.  Each path is reduced
+    as a one-path array would be: the row reductions run along the last
+    axis and the matmuls path by path."""
     k = max(1, REDUCE_VALUES // (states.shape[1] * width))
     for lo in range(0, len(states), k):
         yield states[lo:lo + k]
@@ -118,6 +120,18 @@ def _survivor_rows(keys, values, blow_t):
     return rows, n_blown
 
 
+def _table(experiment, keys, blocks, fit=True, **extra):
+    """The DiagnosticTable of run_blocks results [(values (rows, k),
+    blow_t (k,))]: rows over the survivors (_survivor_rows), their
+    log-log fit when `fit`, and n_blown among the extras."""
+    values, blow_t = zip(*blocks)
+    rows, n_blown = _survivor_rows(keys, np.concatenate(values, axis=1),
+                                   np.concatenate(blow_t))
+    rate = loglog_fit([r[0] for r in rows], [r[1] for r in rows]) if fit else None
+    return DiagnosticTable(experiment=experiment, rows=rows, fitted_rate=rate,
+                           extra={**extra, "n_blown": n_blown})
+
+
 def check_moment_exponent(model, p):
     """Reject a moment exponent p outside [2, p_max); p_max is finite only
     for Part II models, whose noise bounds the admissible moments."""
@@ -129,27 +143,31 @@ def check_moment_exponent(model, p):
             f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
 
 
-def moment_report(ensemble, p, alpha):
-    """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}."""
-    model, basis = ensemble.model, ensemble.basis
+def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt=None,
+                  stepper=None, threads=None):
+    """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}
+    over M paths from x0 (solver.ensemble_blocks)."""
     check_moment_exponent(model, p)
-    # the last powers are np.float64 scalar powers, as per path before;
-    # numpy's array power can round differently.  Blown paths give NaN and
-    # a survivor's power can overflow; _survivor_rows counts both.
-    sup_p, vint_p = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for states in _path_slices(ensemble, basis.grid_size):
+    save_dt = save_dt if save_dt is not None else dt
+
+    def reduce(saved):
+        # the last powers are np.float64 scalar powers, as per path before;
+        # numpy's array power can round differently.  Blown paths give NaN
+        # and a survivor's power can overflow; _survivor_rows counts both.
+        sup_p, vint_p = [], []
+        for states in _path_slices(saved, basis.grid_size):
             sup = np.max(np.linalg.norm(states, axis=-1), axis=1)
             vint = np.trapezoid(sb.v_norm(basis, model, states) ** alpha,
-                                dx=ensemble.save_dt, axis=1)
+                                dx=save_dt, axis=1)
             sup_p += [s ** p for s in sup]
             vint_p += [v ** (p / 2.0) for v in vint]
-    rows, n_blown = _survivor_rows([0.0, 1.0], np.array([sup_p, vint_p]),
-                                   ensemble.blow_t)
-    return DiagnosticTable(
-        experiment="moments", rows=rows,
-        extra={"p": p, "alpha": alpha, "n_blown": n_blown,
-               "row_keys": ["sup_h_pow_p", "v_int_pow_p_half"]})
+        return np.array([sup_p, vint_p])
+
+    return _table("moments", [0.0, 1.0],
+                  sv.ensemble_blocks(model, basis, x0, M, seed, reduce, stepper,
+                                     t_end, dt, save_dt, threads),
+                  fit=False, p=p, alpha=alpha,
+                  row_keys=["sup_h_pow_p", "v_int_pow_p_half"])
 
 
 def delta_shifts(delta_list, save_dt, t_end):
@@ -167,25 +185,29 @@ def delta_shifts(delta_list, save_dt, t_end):
     return shifts
 
 
-def equicontinuity_statistic(ensemble, delta_list, alpha):
-    """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt.
+def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end, dt,
+                             save_dt=None, stepper=None, threads=None):
+    """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt
+    over M paths from x0 (solver.ensemble_blocks).
 
     A survivor whose integral is not finite at some delta (its states
     near overflow) counts as blown and leaves every row (_survivor_rows)."""
-    save_dt = ensemble.save_dt
-    shifts = delta_shifts(delta_list, save_dt, ensemble.times[-1])
-    integs = [[] for _ in shifts]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for states in _path_slices(ensemble, ensemble.states.shape[-1]):
+    save_dt = save_dt if save_dt is not None else dt
+    shifts = delta_shifts(delta_list, save_dt, t_end)
+
+    def reduce(saved):
+        integs = [[] for _ in shifts]
+        for states in _path_slices(saved, saved.shape[-1]):
             for out, k in zip(integs, shifts):
                 diff = states[:, k:, :] - states[:, :-k or None, :]
                 vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)  # (paths, S+1-k)
                 out.append(np.trapezoid(vals, dx=save_dt, axis=1))
-    rows, n_blown = _survivor_rows(
-        delta_list, np.array([np.concatenate(out) for out in integs]), ensemble.blow_t)
-    fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
-    return DiagnosticTable(experiment="equicontinuity", rows=rows, fitted_rate=fit,
-                           extra={"alpha": alpha, "n_blown": n_blown})
+        return np.array([np.concatenate(out) for out in integs])
+
+    return _table("equicontinuity", delta_list,
+                  sv.ensemble_blocks(model, basis, x0, M, seed, reduce, stepper,
+                                     t_end, dt, save_dt, threads),
+                  alpha=alpha)
 
 
 def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
@@ -204,7 +226,6 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     """
     alpha = alpha if alpha is not None else model.alpha
     save_dt = save_dt if save_dt is not None else dt
-    stepper = stepper or model.default_stepper
     levels = sorted(n_levels)
     bases = {n: model.make_basis(n) for n in levels}
     m_fine = m_modes if m_modes is not None else max(
@@ -230,14 +251,10 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
             errs.append(np.trapezoid(vals, dx=save_dt, axis=1))
         return errs, _first_blowups(runs.values())
 
-    errs, blow = zip(*sv.run_blocks(M, seed, m_fine, steps, dt, start, advance,
-                                    finish, threads=threads))
-    rows, n_blown = _survivor_rows(levels[:-1], np.concatenate(errs, axis=1),
-                                   np.concatenate(blow))
-    fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
-    return DiagnosticTable(experiment="converge", rows=rows, fitted_rate=fit,
-                           extra={"alpha": alpha, "levels": list(map(int, levels)),
-                                  "n_blown": n_blown})
+    return _table("converge", levels[:-1],
+                  sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
+                                threads=threads),
+                  alpha=alpha, levels=list(map(int, levels)))
 
 
 def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
@@ -246,7 +263,6 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
     """E sup_t ||X(t, x + eps d) - X(t, x)||_H^p against eps, common noise.
     Blocks of paths run on `threads` workers (solver.run_blocks)."""
     save_dt = save_dt if save_dt is not None else dt
-    stepper = stepper or model.default_stepper
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
     m = model.noise_modes(basis)
     d = sv.project_initial(basis, direction)
@@ -273,14 +289,10 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
         runs, tops = state
         return tops ** p, _first_blowups(runs)
 
-    sups, blow = zip(*sv.run_blocks(M, seed, m, steps, dt, start, advance, finish,
-                                    threads=threads))
-    rows, n_blown = _survivor_rows(perturbation_sizes, np.concatenate(sups, axis=1),
-                                   np.concatenate(blow))
-    fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
-    return DiagnosticTable(experiment="continuity", rows=rows, fitted_rate=fit,
-                           extra={"p": p, "direction_norm": float(np.linalg.norm(d)),
-                                  "n_blown": n_blown})
+    return _table("continuity", perturbation_sizes,
+                  sv.run_blocks(M, seed, m, steps, dt, start, advance, finish,
+                                threads=threads),
+                  p=p, direction_norm=float(np.linalg.norm(d)))
 
 
 def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
@@ -296,7 +308,6 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     """
     if mode not in PROBE_MODES:
         raise InvalidDeltaError(f"unknown probe mode {mode!r}")
-    stepper = stepper or model.default_stepper
     dts = sorted(dt_levels, reverse=True)
     fine_dt = dts[-1] / 2.0
     steps_fine = sv.ratio_as_int(t_end, fine_dt, "t_end/fine_dt")
@@ -343,14 +354,10 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
                 _first_blowups([run for pair in runs.values() for run in pair]))
 
     # chunks hold whole coarse steps of every level
-    tops, blow = zip(*sv.run_blocks(M, seed, m, steps_fine, fine_dt, start, advance,
-                                    finish, multiple=math.lcm(*factors),
-                                    threads=threads))
-    rows, n_blown = _survivor_rows(dts, np.concatenate(tops, axis=1),
-                                   np.concatenate(blow))
-    fit = loglog_fit([r[0] for r in rows], [r[1] for r in rows])
-    return DiagnosticTable(experiment="uniqueness", rows=rows, fitted_rate=fit,
-                           extra={"mode": mode, "n_blown": n_blown})
+    return _table("uniqueness", dts,
+                  sv.run_blocks(M, seed, m, steps_fine, fine_dt, start, advance, finish,
+                                multiple=math.lcm(*factors), threads=threads),
+                  mode=mode)
 
 
 def write_table(table, csv_path):

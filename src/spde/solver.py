@@ -14,6 +14,10 @@ block's noise stream (time-major chunks (k, M, m) from
 noise.stream_block) and the chunk's lifetime.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
+`ensemble_blocks` is the driver for one run per block: it reduces each
+block's save grid as soon as the block ends, so memory holds the grids
+of the blocks in flight, not the ensemble's.  `solve_ensemble` keeps
+every grid, as the reference ensemble of the tests.
 
 `start_block` prepares a block once.  Its BlockRun holds the stepper's
 diagonal L and the denominator 1 - dt*L broadcast to the block's (M, n)
@@ -96,15 +100,11 @@ class Trajectory:
 class TrajectoryEnsemble:
     """M paths on one save grid, kept as arrays: states (M, S+1, n), NaN
     from a path's blow-up on; blow_t (M,), the blow-up times, NaN for
-    paths that stayed finite; and the model and basis they were solved
-    with."""
+    paths that stayed finite."""
 
     states: np.ndarray
     blow_t: np.ndarray
     times: np.ndarray          # (S+1,)
-    save_dt: float
-    model: object
-    basis: object
 
 
 def fit_noise_columns(increments, needed):
@@ -170,7 +170,9 @@ def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
     rows of one chunk at a time (see BlockRun.pop_saves).  The run holds
     the model prepared for `basis` and M rows, and the semi-implicit L
     and 1 - dt*L broadcast to (M, n).  Every run starts here, so this is
-    where an unknown stepper is rejected."""
+    where a stepper of None becomes the model's default and an unknown
+    one is rejected."""
+    stepper = stepper or model.default_stepper
     if stepper not in STEPPERS:
         raise ConfigError(f"unknown stepper {stepper!r}")
     L = denom = None
@@ -262,7 +264,6 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     truncated to n_modes).  noise_path.dt_fine is the solver step; it must
     divide save_dt, which must divide t_end.
     """
-    stepper = stepper or model.default_stepper
     if t_end is None:
         t_end = noise_path.t_end
     if save_dt is None:
@@ -298,35 +299,35 @@ def project_initial(basis, x0):
     return out
 
 
-def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
-                   save_dt=None, threads=None):
-    """M independent paths, path_id = 0..M-1, reproducible for a fixed M.
-
-    Paths run in blocks through `run_blocks`, each keeping its whole save
-    grid for the ensemble's (M, S+1, n) array.  A path that blows up keeps
-    its blow-up time in blow_t and is NaN on the save grid from then on;
-    the run goes on, and the experiments that read the ensemble count it
-    (diagnostics._survivor_rows)."""
-    stepper = stepper or model.default_stepper
-    save_dt = save_dt if save_dt is not None else dt
+def ensemble_blocks(model, basis, x0, M, seed, reduce, stepper, t_end, dt, save_dt,
+                    threads=None):
+    """M independent paths, path_id = 0..M-1, from the initial value x0,
+    reproducible for a fixed M.  Returns [(reduce(saved), blow_t)] in
+    block order: saved is the block's (k, S+1, n) save grid, NaN from a
+    path's blow-up on, and blow_t its (k,) blow-up times, NaN for the
+    paths that stayed finite.  A block's grid is dropped once reduced;
+    the run goes on past a blow-up, and the experiments count the blown
+    paths (diagnostics._survivor_rows)."""
     steps, save_every = save_grid(t_end, dt, save_dt)
     c0 = project_initial(basis, x0)
-    times = save_dt * np.arange(steps // save_every + 1)
+    return run_blocks(
+        M, seed, model.noise_modes(basis), steps, dt,
+        lambda lo, hi: start_block(model, basis, c0, hi - lo, steps, dt, stepper,
+                                   save_every),
+        lambda run, chunk: _advance_block(model, basis, run, chunk),
+        lambda lo, hi, run: (reduce(run.saved), run.blow_t), threads=threads)
 
-    all_states = np.empty((M, len(times), basis.n_modes))
-    all_blow = np.full(M, np.nan)
 
-    def finish(lo, hi, run):
-        all_states[lo:hi] = run.saved
-        all_blow[lo:hi] = run.blow_t
-
-    run_blocks(M, seed, model.noise_modes(basis), steps, dt,
-               lambda lo, hi: start_block(model, basis, c0, hi - lo, steps, dt,
-                                          stepper, save_every),
-               lambda run, chunk: _advance_block(model, basis, run, chunk),
-               finish, threads=threads)
-    return TrajectoryEnsemble(states=all_states, blow_t=all_blow, times=times,
-                              save_dt=save_dt, model=model, basis=basis)
+def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
+                   save_dt=None, threads=None):
+    """The paths of ensemble_blocks with every block's save grid kept, as
+    one (M, S+1, n) TrajectoryEnsemble."""
+    save_dt = save_dt if save_dt is not None else dt
+    states, blow_t = zip(*ensemble_blocks(model, basis, x0, M, seed, lambda saved: saved,
+                                          stepper, t_end, dt, save_dt, threads))
+    states = np.concatenate(states)
+    return TrajectoryEnsemble(states=states, blow_t=np.concatenate(blow_t),
+                              times=save_dt * np.arange(states.shape[1]))
 
 
 def trajectory_csv_rows(traj, model, basis):

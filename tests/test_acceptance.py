@@ -106,10 +106,8 @@ def test_criterion_3_moment_uniformity():
     sups, vints = {}, {}
     for n in levels:
         m = sm.HeatOU(sigma=0.5)
-        b = m.make_basis(n)
-        ens = sv.solve_ensemble(m, b, unit(n), M=M, seed=7, t_end=1.0,
-                                dt=1e-3, save_dt=1e-2)
-        tab = dg.moment_report(ens, p=p, alpha=2.0)
+        tab = dg.moment_report(m, m.make_basis(n), unit(n), p=p, alpha=2.0, M=M,
+                               seed=7, t_end=1.0, dt=1e-3, save_dt=1e-2)
         sups[n] = (tab.rows[0][1], tab.rows[0][2])
         vints[n] = (tab.rows[1][1], tab.rows[1][2])
 
@@ -130,9 +128,8 @@ def test_criterion_3_moment_uniformity():
     b = m.make_basis(16)
     ests = []
     for sdt in (4e-2, 2e-2, 1e-2):
-        ens = sv.solve_ensemble(m, b, unit(16), M=500, seed=3, t_end=1.0,
-                                dt=1e-3, save_dt=sdt)
-        tab = dg.moment_report(ens, p=p, alpha=2.0)
+        tab = dg.moment_report(m, b, unit(16), p=p, alpha=2.0, M=500, seed=3,
+                               t_end=1.0, dt=1e-3, save_dt=sdt)
         ests.append((tab.rows[0][1], tab.rows[0][2]))
     grid_ok = (ests[2][0] >= ests[1][0] >= ests[0][0] - 3 * ests[0][1]) and \
         abs(ests[2][0] - ests[1][0]) <= max(3 * np.hypot(ests[2][1], ests[1][1]),
@@ -148,11 +145,9 @@ def test_criterion_3_moment_uniformity():
 
 def test_criterion_4_equicontinuity_rate():
     m = sm.HeatOU(sigma=0.5)
-    b = m.make_basis(16)
-    ens = sv.solve_ensemble(m, b, unit(16), M=2000, seed=11, t_end=1.0,
-                            dt=1e-3, save_dt=1e-2)
     deltas = [k * 1e-2 for k in (2, 4, 8, 16, 32)]
-    tab = dg.equicontinuity_statistic(ens, deltas, alpha=2.0)
+    tab = dg.equicontinuity_statistic(m, m.make_basis(16), unit(16), deltas, alpha=2.0,
+                                      M=2000, seed=11, t_end=1.0, dt=1e-3, save_dt=1e-2)
     slope, _, r2 = tab.fitted_rate
     ok = slope >= 0.35 and r2 >= 0.9
     report(4, "equicontinuity (tightness shadow)", ok,

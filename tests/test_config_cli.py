@@ -456,11 +456,15 @@ def test_cli_rejects_bad_experiment_numbers(tmp_path, capsys, command, key, valu
 
 
 def test_cli_equicontinuity_checks_deltas_before_solving(tmp_path, capsys, monkeypatch):
-    # a delta longer than the run fails before any path is solved; the
-    # default deltas keep the shifts that fit in the run
+    # an inadmissible p or a delta longer than the run fails before any
+    # path is solved; the default deltas keep the shifts that fit in the run
     def no_solve(*args, **kwargs):
-        raise AssertionError("solve_ensemble ran")
-    monkeypatch.setattr(sv, "solve_ensemble", no_solve)
+        raise AssertionError("run_blocks ran")
+    monkeypatch.setattr(sv, "run_blocks", no_solve)
+    code = cli.main(["moments", "--model", "gradient-noise-heat", "--nu", "1.5",
+                     "--p", "2", "--paths", "4", "--t-end", "0.1",
+                     "--out", str(tmp_path / "x")])
+    assert_usage_error(capsys, code, "outside admissible range")
     path = write_cfg(tmp_path, {"command": "equicontinuity", "model": {"name": "heat-ou"},
                                 "basis": {"n_modes": 4},
                                 "run": {"t_end": 0.2, "save_dt": 0.01, "paths": 4},

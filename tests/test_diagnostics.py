@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,46 +18,43 @@ def unit(n, k=0):
     return e
 
 
-def heat_ensemble(sigma=0.5, n=8, M=200, seed=3, t_end=1.0, dt=1e-3,
-                  save_dt=1e-2, x0=None):
+def heat_run(sigma=0.5, n=8, M=200, seed=3, t_end=1.0, dt=1e-3, save_dt=1e-2,
+             x0=None):
+    """A heat-ou run: (model, basis, x0), the leading arguments of
+    moment_report and equicontinuity_statistic, and the run's keywords."""
     m = sm.HeatOU(sigma=sigma)
-    b = m.make_basis(n)
     x0 = unit(n) if x0 is None else x0
-    return m, b, sv.solve_ensemble(m, b, x0, M=M, seed=seed, t_end=t_end,
-                                   dt=dt, save_dt=save_dt)
+    return (m, m.make_basis(n), x0), dict(M=M, seed=seed, t_end=t_end, dt=dt,
+                                          save_dt=save_dt)
 
 
 def test_moment_report_deterministic_contraction():
     # sigma = 0: sup_t ||X||_H^p is hit at t = 0 and equals ||x0||^p = 1
-    m, b, ens = heat_ensemble(sigma=0.0, M=3)
-    tab = dg.moment_report(ens, p=2, alpha=2)
+    args, kw = heat_run(sigma=0.0, M=3)
+    tab = dg.moment_report(*args, p=2, alpha=2, **kw)
     sup_row = tab.rows[0]
     assert sup_row[1] == 1.0 and sup_row[2] == 0.0
     assert tab.extra["n_blown"] == 0
 
 
 def test_moment_report_requires_p_geq_2():
-    m, b, ens = heat_ensemble(M=3)
+    args, kw = heat_run(M=3)
     with pytest.raises(InadmissiblePError):
-        dg.moment_report(ens, p=1.5, alpha=2)
+        dg.moment_report(*args, p=1.5, alpha=2, **kw)
 
 
 def test_moment_report_part2_admissibility():
+    kw = dict(alpha=2, M=3, seed=1, t_end=0.1, dt=1e-3, save_dt=1e-2)
     m = sm.GradientNoiseHeat(nu=1.5)       # p_max = 1 + 2/2.25 < 2
-    b = m.make_basis(8)
-    ens = sv.solve_ensemble(m, b, unit(8), M=3, seed=1, t_end=0.1, dt=1e-3,
-                            save_dt=1e-2)
     with pytest.raises(InadmissiblePError):
-        dg.moment_report(ens, p=2, alpha=2)
+        dg.moment_report(m, m.make_basis(8), unit(8), p=2, **kw)
 
     m1 = sm.GradientNoiseHeat(nu=1.0)      # p_max = 3
     b1 = m1.make_basis(8)
-    ens1 = sv.solve_ensemble(m1, b1, unit(8), M=3, seed=1, t_end=0.1, dt=1e-3,
-                             save_dt=1e-2)
-    tab = dg.moment_report(ens1, p=2, alpha=2)
+    tab = dg.moment_report(m1, b1, unit(8), p=2, **kw)
     assert np.isfinite(tab.rows[0][1])
     with pytest.raises(InadmissiblePError):
-        dg.moment_report(ens1, p=3.0, alpha=2)   # boundary excluded
+        dg.moment_report(m1, b1, unit(8), p=3.0, **kw)   # boundary excluded
 
 
 def test_moment_scaling_fit_then_check():
@@ -67,39 +63,39 @@ def test_moment_scaling_fit_then_check():
     # to a factor-2 allowance (one amplitude cannot pin the universal
     # constant; unbounded growth in x would blow through any fixed factor)
     p = 2.0
-    m, b, ens1 = heat_ensemble(M=400, seed=5)
-    t1 = dg.moment_report(ens1, p=p, alpha=2)
+    args, kw = heat_run(M=400, seed=5)
+    t1 = dg.moment_report(*args, p=p, alpha=2, **kw)
     C = (t1.rows[0][1] + 3 * t1.rows[0][2]) / 2.0      # / (1 + ||x||^p)
-    m2, b2, ens2 = heat_ensemble(M=400, seed=5, x0=2.0 * unit(8))
-    t2 = dg.moment_report(ens2, p=p, alpha=2)
+    args, kw = heat_run(M=400, seed=5, x0=2.0 * unit(8))
+    t2 = dg.moment_report(*args, p=p, alpha=2, **kw)
     assert t2.rows[0][1] <= 2.0 * C * (1.0 + 2.0 ** p) + 3 * t2.rows[0][2]
 
 
 def test_equicontinuity_zero_for_constant_trajectory():
     # x0 = 0 with B(0) = 0 stays exactly at zero
     m = sm.PLaplacian(4, 1.0, 0.5)
-    b = m.make_basis(8)
-    ens = sv.solve_ensemble(m, b, np.zeros(8), M=3, seed=1, t_end=0.4,
-                            dt=1e-3, save_dt=1e-2, stepper="explicit-tamed")
-    tab = dg.equicontinuity_statistic(ens, [0.02, 0.04, 0.08], alpha=4)
+    tab = dg.equicontinuity_statistic(m, m.make_basis(8), np.zeros(8),
+                                      [0.02, 0.04, 0.08], alpha=4, M=3, seed=1,
+                                      t_end=0.4, dt=1e-3, save_dt=1e-2,
+                                      stepper="explicit-tamed")
     assert all(r[1] == 0.0 for r in tab.rows)
 
 
 def test_equicontinuity_delta_validation():
-    m, b, ens = heat_ensemble(M=3)
+    args, kw = heat_run(M=3)
     with pytest.raises(InvalidDeltaError, match="not a multiple of save_dt"):
-        dg.equicontinuity_statistic(ens, [0.015], alpha=2)
+        dg.equicontinuity_statistic(*args, [0.015], alpha=2, **kw)
     with pytest.raises(InvalidDeltaError, match="t_end"):
-        dg.equicontinuity_statistic(ens, [5.0], alpha=2)   # longer than T
+        dg.equicontinuity_statistic(*args, [5.0], alpha=2, **kw)   # longer than T
     assert dg.delta_shifts([0.02, 0.2], 0.01, 0.2) == [2, 20]
     with pytest.raises(InvalidDeltaError, match="t_end 0.2"):
         dg.delta_shifts([0.21], 0.01, 0.2)
 
 
 def test_equicontinuity_rate_and_monotonicity():
-    m, b, ens = heat_ensemble(sigma=0.5, M=400, seed=11)
+    args, kw = heat_run(sigma=0.5, M=400, seed=11)
     deltas = [k * 1e-2 for k in (2, 4, 8, 16, 32)]
-    tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
+    tab = dg.equicontinuity_statistic(*args, deltas, alpha=2, **kw)
     slope, _, r2 = tab.fitted_rate
     assert slope >= 0.35 and r2 >= 0.9
     _, est, se, _ = np.array(tab.rows).T
@@ -195,16 +191,15 @@ def test_uniqueness_probe_dt_refinement_plaplacian():
 
 
 def test_tables_deterministic():
-    m, b, e1 = heat_ensemble(M=50, seed=9)
-    _, _, e2 = heat_ensemble(M=50, seed=9)
-    t1 = dg.moment_report(e1, 2, 2)
-    t2 = dg.moment_report(e2, 2, 2)
+    args, kw = heat_run(M=50, seed=9)
+    t1 = dg.moment_report(*args, 2, 2, **kw)
+    t2 = dg.moment_report(*args, 2, 2, **kw)
     assert t1.rows == t2.rows
 
 
 def test_write_table(tmp_path):
-    m, b, ens = heat_ensemble(M=10)
-    tab = dg.moment_report(ens, 2, 2)
+    args, kw = heat_run(M=10)
+    tab = dg.moment_report(*args, 2, 2, **kw)
     csv = tmp_path / "moments.csv"
     dg.write_table(tab, csv)
     lines = csv.read_text().splitlines()
@@ -213,37 +208,66 @@ def test_write_table(tmp_path):
     assert len(lines) == 3
 
 
-def all_blown_ensemble(M=3):
-    m, b, ens = heat_ensemble(M=M, t_end=0.1)
-    ens.blow_t[:] = 0.05 + 0.01 * np.arange(M)
-    ens.states[:, 5:] = np.nan
-    return ens
-
-
 def test_all_blown_ensemble_raises_with_count():
-    ens = all_blown_ensemble()
+    # every path blows up: the error counts them and carries the first
+    # blow-up time
+    m = QuadraticOU(1.0)
+    b = m.make_basis(4)
+    kw = dict(M=3, seed=2, t_end=1.0, dt=1e-2)
+    first = np.min(sv.solve_ensemble(m, b, 10.0 * unit(4), **kw).blow_t)
     with pytest.raises(NonfiniteStateError, match="all 3 paths blew up") as ei:
-        dg.moment_report(ens, p=2, alpha=2)
-    assert ei.value.time == 0.05
+        dg.moment_report(m, b, 10.0 * unit(4), p=2, alpha=2, **kw)
+    assert ei.value.time == first
     with pytest.raises(NonfiniteStateError, match="all 3 paths blew up"):
-        dg.equicontinuity_statistic(ens, [0.02], alpha=2)
+        dg.equicontinuity_statistic(m, b, 10.0 * unit(4), [0.02], alpha=2, **kw)
+    with pytest.raises(NonfiniteStateError, match="all 3 paths blew up") as ei:
+        dg._survivor_rows([0.0], np.ones((1, 3)), 0.05 + 0.01 * np.arange(3))
+    assert ei.value.time == 0.05
+
+
+def test_survivor_with_nonfinite_statistic_leaves_every_row():
+    # one survivor near overflow: its statistic is inf in one row, so it
+    # counts as blown and the rows are those of the others
+    values, blow_t = np.random.default_rng(0).random((2, 40)), np.full(40, np.nan)
+    ref, _ = dg._survivor_rows([0.02, 0.04], values[:, 1:], blow_t[1:])
+    values[1, 0] = np.inf
+    rows, n_blown = dg._survivor_rows([0.02, 0.04], values, blow_t)
+    assert n_blown == 1
+    assert rows == ref and [r[3] for r in rows] == [39, 39]
+    values[0, 1:] = np.inf
+    with pytest.raises(NonfiniteStateError, match="all 40 paths"):
+        dg._survivor_rows([0.02, 0.04], values, blow_t)
+
+
+def per_path_shifts(ens, deltas, alpha, save_dt):
+    """equicontinuity_statistic's rows by one path at a time, over the
+    survivors whose integrals are finite at every delta."""
+    with np.errstate(over="ignore"):
+        integs = np.array([[np.trapezoid(np.sum((st[k:] - st[:-k]) ** 2, axis=-1)
+                                         ** (alpha / 2.0), dx=save_dt)
+                            for st in ens.states]
+                           for k in dg.delta_shifts(deltas, save_dt, ens.times[-1])])
+    keep = np.isnan(ens.blow_t) & np.all(np.isfinite(integs), axis=0)
+    return [(d, *dg._mean_se(v[keep])) for d, v in zip(deltas, integs)]
 
 
 def test_equicontinuity_drops_survivors_with_nonfinite_statistic():
-    # one survivor near overflow: its squared shifts are inf at every
-    # delta, so it counts as blown and the rows are those of the others
-    m, b, ens = heat_ensemble(M=40, t_end=0.5)
+    # no path blows up, but at alpha = 300 the shift integrals of some
+    # survivors overflow: they count as blown and leave every row, and the
+    # rows are those of the others; at alpha = 1500 every path overflows
+    m = sm.HeatOU(sigma=50.0)
+    b = m.make_basis(4)
     deltas = [0.02, 0.04]
-    ref = dg.equicontinuity_statistic(
-        dataclasses.replace(ens, states=ens.states[1:], blow_t=ens.blow_t[1:]),
-        deltas, alpha=2)
-    ens.states[0, -1] = 1e200
-    tab = dg.equicontinuity_statistic(ens, deltas, alpha=2)
-    assert tab.extra["n_blown"] == 1
-    assert tab.rows == ref.rows and [r[3] for r in tab.rows] == [39, 39]
-    ens.states[1:, -1] = 1e200
+    kw = dict(M=40, seed=0, t_end=0.1, dt=1e-3, save_dt=1e-2)
+    ens = sv.solve_ensemble(m, b, unit(4), **kw)
+    assert np.all(np.isnan(ens.blow_t))
+    tab = dg.equicontinuity_statistic(m, b, unit(4), deltas, 300.0, **kw)
+    n_blown = tab.extra["n_blown"]
+    assert 0 < n_blown < 40
+    assert tab.rows == per_path_shifts(ens, deltas, 300.0, 1e-2)
+    assert [r[3] for r in tab.rows] == [40 - n_blown] * 2
     with pytest.raises(NonfiniteStateError, match="all 40 paths"):
-        dg.equicontinuity_statistic(ens, deltas, alpha=2)
+        dg.equicontinuity_statistic(m, b, unit(4), deltas, 1500.0, **kw)
 
 
 def test_galerkin_convergence_streams_noise():
@@ -312,6 +336,30 @@ def test_uniqueness_probe_rejects_bad_mode_and_levels():
     with pytest.raises(ConfigError, match="dt_level"):
         dg.uniqueness_probe(m, b, unit(4), M=2, seed=0, dt_levels=[0.03, 0.02],
                             t_end=0.06)
+
+
+@pytest.mark.parametrize("experiment", ["moments", "equicontinuity"])
+def test_moments_and_equicontinuity_free_each_block(experiment):
+    # each block's save grid is reduced to per-path statistics and dropped
+    # before the next block runs: three blocks peak as one does, and below
+    # one (M, S+1, n) grid of all three
+    m = sm.HeatOU(0.5)
+    b = m.make_basis(8)
+    kw = dict(seed=1, t_end=1.0, dt=1e-3, save_dt=1e-3)
+    run = {"moments": lambda M: dg.moment_report(m, b, unit(8), 2.0, 2.0, M, **kw),
+           "equicontinuity": lambda M: dg.equicontinuity_statistic(
+               m, b, unit(8), [0.002, 0.004], 2.0, M, **kw)}[experiment]
+    peaks = []
+    for M in (sv.BLOCK, 3 * sv.BLOCK):
+        tracemalloc.start()
+        try:
+            tab = run(M)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [r[3] for r in tab.rows] == [M] * len(tab.rows)
+    assert peaks[1] <= 1.02 * peaks[0]
+    assert peaks[1] < 3 * sv.BLOCK * 1001 * 8 * 8
 
 
 def test_galerkin_convergence_frees_each_block():
@@ -422,11 +470,10 @@ def run_experiment(name, m, x0, **kw):
     converge), 40 paths to t = 1 at dt = 1e-2."""
     b = m.make_basis(4)
     kw = dict(M=40, seed=2, t_end=1.0, **kw)
-    if name in ("moments", "equicontinuity"):
-        ens = sv.solve_ensemble(m, b, x0, dt=1e-2, **kw)
-        if name == "moments":
-            return dg.moment_report(ens, 2.0, 2.0)
-        return dg.equicontinuity_statistic(ens, [0.02, 0.04], 2.0)
+    if name == "moments":
+        return dg.moment_report(m, b, x0, 2.0, 2.0, dt=1e-2, **kw)
+    if name == "equicontinuity":
+        return dg.equicontinuity_statistic(m, b, x0, [0.02, 0.04], 2.0, dt=1e-2, **kw)
     if name == "converge":
         return dg.galerkin_convergence(m, x0, [4, 8], dt=1e-2, **kw)
     if name == "continuity":
@@ -475,10 +522,10 @@ def test_moment_report_counts_overflowing_survivors():
     # no path blows up, but 17 of the 40 sups overflow at p = 300: they
     # count as blown, and the rows are those of the other 23
     m = sm.HeatOU(sigma=50.0)
-    ens = sv.solve_ensemble(m, m.make_basis(4), unit(4), M=40, seed=0, t_end=0.1,
-                            dt=1e-3)
-    assert np.all(np.isnan(ens.blow_t))
-    tab = dg.moment_report(ens, 300.0, 2.0)
+    b = m.make_basis(4)
+    kw = dict(M=40, seed=0, t_end=0.1, dt=1e-3)
+    assert np.all(np.isnan(sv.solve_ensemble(m, b, unit(4), **kw).blow_t))
+    tab = dg.moment_report(m, b, unit(4), 300.0, 2.0, **kw)
     assert tab.extra["n_blown"] == 17
     for _, est, se, M in tab.rows:
         assert M == 23 and np.isfinite(est) and np.isfinite(se)
@@ -502,35 +549,36 @@ def test_continuity_and_uniqueness_all_blown_raise():
         dg.uniqueness_probe(m, b, unit(8), dt_levels=[0.08, 0.04], save_dt=0.08, **kw)
 
 
-def per_path_moments(ens, p, alpha):
+def per_path_moments(ens, model, basis, save_dt, p, alpha):
     """moment_report's rows by one path at a time, over the survivors."""
     sup_p, vint_p = [], []
     for states, blow_t in zip(ens.states, ens.blow_t):
         if np.isnan(blow_t):
             sup_p.append(np.max(np.linalg.norm(states, axis=-1)) ** p)
-            v = sb.v_norm(ens.basis, ens.model, states)
-            vint_p.append(np.trapezoid(v ** alpha, dx=ens.save_dt) ** (p / 2.0))
+            v = sb.v_norm(basis, model, states)
+            vint_p.append(np.trapezoid(v ** alpha, dx=save_dt) ** (p / 2.0))
     return [(0.0, *dg._mean_se(sup_p)), (1.0, *dg._mean_se(vint_p))]
 
 
 @pytest.mark.parametrize("model,n,save_dt", [
     (sm.HeatOU(0.5), 4, 0.2), (sm.HeatOU(0.5), 16, 0.02),
     (sm.PLaplacian(4.0, 1.0, 0.5), 16, 1e-3), (sm.PLaplacian(3.0, 1.0, 0.5), 32, 0.02),
+    (QuadraticOU(4.5), 4, 0.02),
 ])
 def test_moment_report_matches_per_path_reference(monkeypatch, model, n, save_dt):
-    # the vectorised reductions give each path's bits as a one-path array
-    # does, whole or in slices of paths, and with blown paths left out
+    # the block reductions give each path's bits as a one-path array does,
+    # whole or in slices of paths, and with blown paths left out (some of
+    # the quadratic-ou paths blow up)
     b = model.make_basis(n)
-    ens = sv.solve_ensemble(model, b, 0.5 / (1.0 + np.arange(n)) ** 2, M=300, seed=5,
-                            t_end=0.2, dt=1e-3, save_dt=save_dt)
+    x0 = 0.5 / (1.0 + np.arange(n)) ** 2
+    kw = dict(M=300, seed=5, t_end=0.2, dt=1e-3, save_dt=save_dt)
+    ens = sv.solve_ensemble(model, b, x0, **kw)
     for p in (2.0, 3.0):
-        ref = per_path_moments(ens, p, model.alpha)
-        assert dg.moment_report(ens, p, model.alpha).rows == ref
+        ref = per_path_moments(ens, model, b, save_dt, p, model.alpha)
+        assert dg.moment_report(model, b, x0, p, model.alpha, **kw).rows == ref
     monkeypatch.setattr(dg, "REDUCE_VALUES", 7 * ens.states.shape[1] * b.grid_size)
-    assert dg.moment_report(ens, 2.0, model.alpha).rows == per_path_moments(ens, 2.0,
-                                                                             model.alpha)
-    ens.blow_t[[3, 100, 299]] = 0.1
-    ens.states[[3, 100, 299], -1] = np.nan
-    tab = dg.moment_report(ens, 2.0, model.alpha)
-    assert tab.rows == per_path_moments(ens, 2.0, model.alpha)
-    assert tab.extra["n_blown"] == 3 and tab.rows[0][3] == 297
+    tab = dg.moment_report(model, b, x0, 2.0, model.alpha, **kw)
+    assert tab.rows == per_path_moments(ens, model, b, save_dt, 2.0, model.alpha)
+    n_blown = np.count_nonzero(~np.isnan(ens.blow_t))
+    assert tab.extra["n_blown"] == n_blown and tab.rows[0][3] == 300 - n_blown
+    assert (n_blown > 0) == isinstance(model, QuadraticOU)

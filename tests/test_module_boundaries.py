@@ -17,6 +17,8 @@ UNCALLED = {
     ("noise", "coarsen"): "the path-level reference coarsen_chunk is tested against",
     ("models", "ZOO"): "the well-posed models the tests and benchmark sweep",
     ("models", "FIXTURES"): "the audit fixtures the tests and benchmark sweep",
+    ("solver", "solve_ensemble"): "the benchmark tracer wraps it by name, and the "
+                                  "tests use it as the reference ensemble",
 }
 
 
