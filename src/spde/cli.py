@@ -135,7 +135,7 @@ def run(cfg):
                       if k <= round(kw["t_end"] / save_dt)] or [2 * save_dt]
         table = dg.equicontinuity_statistic(model, basis, x0, deltas, alpha, dt=dt, **kw)
     elif cfg.command == "converge":
-        levels = exp.get("levels", [8, 16, 32])
+        levels = exp["levels"]
         table = dg.galerkin_convergence(model, _x0(cfg, max(levels)), levels,
                                         alpha=alpha, dt=dt, **kw)
     elif cfg.command == "continuity":

@@ -7,7 +7,8 @@ must be finite numbers, the exponents p and alpha finite positive
 numbers, the deltas, perturbations and dt levels non-empty lists of
 finite positive numbers, and the dt | save_dt | t_end divisibility
 contract is enforced up front so every downstream ratio is an exact
-integer.
+integer.  converge builds the model's own basis at each level, so it
+rejects a basis section that says more than n_modes = max(levels).
 """
 
 import inspect
@@ -225,6 +226,17 @@ def load_config(path=None, flags=None):
         exp_sec["n_samples"] = _integer(exp_sec["n_samples"], "experiment.n_samples")
     if "levels" in exp_sec:
         exp_sec["levels"] = _check_levels(exp_sec["levels"])
+    if command == "converge":
+        # each level n runs on the model's own basis of n modes on 4n
+        # points, so the basis section may only restate the finest level
+        levels = exp_sec.setdefault("levels", [8, 16, 32])
+        for key in ("grid_size", "v_weight_exponent"):
+            if basis_sec.get(key) is not None:
+                raise ConfigError(f"basis.{key} is not used by converge: level n "
+                                  "runs on the model's basis of n modes")
+        if "n_modes" in basis_sec and basis["n_modes"] != max(levels):
+            raise ConfigError(f"basis.n_modes {basis['n_modes']} is not the finest "
+                              f"converge level {max(levels)}")
     if "mode" in exp_sec and exp_sec["mode"] not in PROBE_MODES:
         raise ConfigError(f"experiment.mode must be one of {PROBE_MODES}, "
                           f"got {exp_sec['mode']!r}")

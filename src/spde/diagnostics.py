@@ -5,6 +5,12 @@ DiagnosticTable: keyed Monte Carlo estimates with standard errors and,
 where a rate is asserted, a log-log fit.  Each runs its paths in blocks
 through solver.run_blocks and reduces a block to per-path statistics
 before it lets the block go, so memory is bounded in the path count M.
+Four of them run windowed blocks and fold each chunk's save rows into
+per-path scalars as the chunk ends: running maxima (continuity,
+uniqueness) or per-row values integrated at the block's end (converge,
+equicontinuity), so their memory does not grow with the number of
+saves either.  The moments still reduce each block's whole
+(BLOCK, S+1, n) save grid (solver.ensemble_blocks).
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -51,12 +57,13 @@ class DiagnosticTable:
 
 
 def loglog_fit(x, y):
-    """Least-squares slope/intercept/r2 of log y against log x."""
+    """Least-squares slope/intercept/r2 of log y against log x, or None
+    with fewer than two positive points to fit."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     keep = (x > 0) & (y > 0)
     if keep.sum() < 2:
-        return (0.0, 0.0, 0.0)
+        return None
     lx, ly = np.log(x[keep]), np.log(y[keep])
     slope, intercept = np.polyfit(lx, ly, 1)
     res = ly - (slope * lx + intercept)
@@ -86,6 +93,17 @@ def _row_max(vals):
     return np.max(vals, axis=1, initial=-np.inf)
 
 
+def _shift_power(diff, alpha):
+    """||diff||_H^alpha of every save row of (paths, rows, n) differences."""
+    return np.sum(diff * diff, axis=-1) ** (alpha / 2.0)
+
+
+def _trapezoid(parts, dx):
+    """Per-path trapezoid integral of (paths, rows) values given chunk by
+    chunk: one np.trapezoid over the joined grid, as over a whole one."""
+    return np.trapezoid(np.concatenate(parts, axis=1), dx=dx, axis=1)
+
+
 def _path_slices(states, width):
     """A block's (paths, S+1, n) states, k paths at a time with
     k * (S+1) * width at most REDUCE_VALUES (at least one path), so that
@@ -103,6 +121,13 @@ def _first_blowups(runs):
     return np.fmin.reduce([run.blow_t for run in runs])
 
 
+def _first_blowup_t(blow_t):
+    """The earliest blow-up time among blow_t, None when every path stayed
+    finite."""
+    times = blow_t[~np.isnan(blow_t)]
+    return float(times.min()) if times.size else None
+
+
 def _survivor_rows(keys, values, blow_t):
     """Table rows (key, estimate, std error, M) from per-path statistics
     values (rows, M) over the paths that did not blow up (blow_t NaN).
@@ -112,10 +137,9 @@ def _survivor_rows(keys, values, blow_t):
     keep = np.isnan(blow_t) & np.all(np.isfinite(values), axis=0)
     n_blown = int(np.count_nonzero(~keep))
     if not keep.any():
-        times = blow_t[~np.isnan(blow_t)]
-        first = float(times.min()) if times.size else None
         raise NonfiniteStateError(
-            f"all {n_blown} paths blew up or overflowed the statistic", time=first)
+            f"all {n_blown} paths blew up or overflowed the statistic",
+            time=_first_blowup_t(blow_t))
     rows = [(float(k), *_mean_se(v[keep])) for k, v in zip(keys, values)]
     return rows, n_blown
 
@@ -123,13 +147,15 @@ def _survivor_rows(keys, values, blow_t):
 def _table(experiment, keys, blocks, fit=True, **extra):
     """The DiagnosticTable of run_blocks results [(values (rows, k),
     blow_t (k,))]: rows over the survivors (_survivor_rows), their
-    log-log fit when `fit`, and n_blown among the extras."""
+    log-log fit when `fit` (None below two points), and among the extras
+    n_blown and first_blowup_t, the earliest blow-up time or None."""
     values, blow_t = zip(*blocks)
-    rows, n_blown = _survivor_rows(keys, np.concatenate(values, axis=1),
-                                   np.concatenate(blow_t))
+    blow_t = np.concatenate(blow_t)
+    rows, n_blown = _survivor_rows(keys, np.concatenate(values, axis=1), blow_t)
     rate = loglog_fit([r[0] for r in rows], [r[1] for r in rows]) if fit else None
     return DiagnosticTable(experiment=experiment, rows=rows, fitted_rate=rate,
-                           extra={**extra, "n_blown": n_blown})
+                           extra={**extra, "n_blown": n_blown,
+                                  "first_blowup_t": _first_blowup_t(blow_t)})
 
 
 def check_moment_exponent(model, p):
@@ -188,25 +214,44 @@ def delta_shifts(delta_list, save_dt, t_end):
 def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end, dt,
                              save_dt=None, stepper=None, threads=None):
     """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt
-    over M paths from x0 (solver.ensemble_blocks).
+    over M paths from x0, one windowed run per block (solver.run_blocks).
 
-    A survivor whose integral is not finite at some delta (its states
-    near overflow) counts as blown and leaves every row (_survivor_rows)."""
+    Each chunk's save rows are paired with the rows max(shifts) before
+    them: a tail of that many rows is all that outlives a chunk, with the
+    per-row values of each shift.  A survivor whose integral is not finite
+    at some delta (its states near overflow) counts as blown and leaves
+    every row (_survivor_rows)."""
     save_dt = save_dt if save_dt is not None else dt
     shifts = delta_shifts(delta_list, save_dt, t_end)
+    steps, save_every = sv.save_grid(t_end, dt, save_dt)
+    c0 = sv.project_initial(basis, x0)
+    depth = max(shifts)
 
-    def reduce(saved):
-        integs = [[] for _ in shifts]
-        for states in _path_slices(saved, saved.shape[-1]):
-            for out, k in zip(integs, shifts):
-                diff = states[:, k:, :] - states[:, :-k or None, :]
-                vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)  # (paths, S+1-k)
-                out.append(np.trapezoid(vals, dx=save_dt, axis=1))
-        return np.array([np.concatenate(out) for out in integs])
+    def start(lo, hi):
+        run = sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every,
+                             window=True)
+        # (run, tail of the latest save rows, per-shift lists of (k, rows) values)
+        return [run, np.empty((hi - lo, 0, basis.n_modes)), [[] for _ in shifts]]
+
+    def advance(state, chunk):
+        run, tail, parts = state
+        sv._advance_block(model, basis, run, chunk)
+        rows = np.concatenate([tail, run.pop_saves()], axis=1)
+        for out, k in zip(parts, shifts):
+            # the pairs (i - k, i) whose later row i came in this chunk
+            first = max(tail.shape[1], k)
+            if first < rows.shape[1]:
+                out.append(_shift_power(rows[:, first:] - rows[:, first - k:-k],
+                                        alpha))
+        state[1] = rows[:, -depth:].copy()
+
+    def finish(lo, hi, state):
+        run, _, parts = state
+        return [_trapezoid(out, save_dt) for out in parts], run.blow_t
 
     return _table("equicontinuity", delta_list,
-                  sv.ensemble_blocks(model, basis, x0, M, seed, reduce, stepper,
-                                     t_end, dt, save_dt, threads),
+                  sv.run_blocks(M, seed, model.noise_modes(basis), steps, dt, start,
+                                advance, finish, threads=threads),
                   alpha=alpha)
 
 
@@ -234,22 +279,26 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     x0 = np.asarray(x0, float)
 
     def start(lo, hi):
-        return {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
-                                  hi - lo, steps, dt, stepper, save_every)
+        runs = {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
+                                  hi - lo, steps, dt, stepper, save_every, window=True)
                 for n in levels}
+        # per level pair, the (k, rows) values of each chunk's save rows
+        return runs, [[] for _ in levels[1:]]
 
-    def advance(runs, chunk):
+    def advance(state, chunk):
+        runs, parts = state
         for n in levels:
             sv._advance_block(model, bases[n], runs[n], chunk)
+        rows = {n: runs[n].pop_saves() for n in levels}
+        for out, a, bn in zip(parts, levels[:-1], levels[1:]):
+            diff = rows[bn].copy()
+            diff[:, :, :a] -= rows[a]
+            out.append(_shift_power(diff, alpha))
 
-    def finish(lo, hi, runs):
-        errs = []
-        for a, bn in zip(levels[:-1], levels[1:]):
-            diff = runs[bn].saved.copy()
-            diff[:, :, :a] -= runs[a].saved
-            vals = np.sum(diff * diff, axis=-1) ** (alpha / 2.0)
-            errs.append(np.trapezoid(vals, dx=save_dt, axis=1))
-        return errs, _first_blowups(runs.values())
+    def finish(lo, hi, state):
+        runs, parts = state
+        return ([_trapezoid(out, save_dt) for out in parts],
+                _first_blowups(runs.values()))
 
     return _table("converge", levels[:-1],
                   sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,

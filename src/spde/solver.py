@@ -14,10 +14,15 @@ block's noise stream (time-major chunks (k, M, m) from
 noise.stream_block) and the chunk's lifetime.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
-`ensemble_blocks` is the driver for one run per block: it reduces each
-block's save grid as soon as the block ends, so memory holds the grids
-of the blocks in flight, not the ensemble's.  `solve_ensemble` keeps
-every grid, as the reference ensemble of the tests.
+
+Most experiments run windowed (`start_block(..., window=True)`): a run
+keeps only its latest chunk's save rows, which the experiment pops and
+folds into per-path scalars, so no block holds a save grid and memory
+does not grow with the number of saves.  Three runs still keep whole
+(M, S+1, n) grids: `solve_path`'s one path, `solve_ensemble`, the
+reference ensemble of the tests, and `ensemble_blocks`, the driver of
+the moments, which reduces each block's grid as soon as the block ends,
+so memory holds the grids of the blocks in flight, not the ensemble's.
 
 `start_block` prepares a block once.  Its BlockRun holds the stepper's
 diagonal L and the denominator 1 - dt*L broadcast to the block's (M, n)
@@ -30,10 +35,7 @@ as it is.  The arithmetic, and so every bit, is that of the same
 expressions on (n,) constants.
 
 `_advance_block` carries a block's state from chunk to chunk, so memory
-holds one chunk rather than the block's whole noise.  A run keeps its
-whole save grid, or, windowed, only the save rows of its latest chunk,
-for consumers that fold the rows into a running statistic as they go.
-Chunks fed in order give the same bits as a single chunk holding every
+holds one chunk rather than the block's whole noise.  Chunks fed in order give the same bits as a single chunk holding every
 step.  The fixed BLOCK keeps a path's arithmetic independent of the
 number of worker threads; it does not make it independent of the path's
 position in its block (outside elementwise models such as heat-ou, the
@@ -307,7 +309,9 @@ def ensemble_blocks(model, basis, x0, M, seed, reduce, stepper, t_end, dt, save_
     path's blow-up on, and blow_t its (k,) blow-up times, NaN for the
     paths that stayed finite.  A block's grid is dropped once reduced;
     the run goes on past a blow-up, and the experiments count the blown
-    paths (diagnostics._survivor_rows)."""
+    paths (diagnostics._survivor_rows).  It serves the moments and
+    solve_ensemble; experiments that can fold save rows chunk by chunk
+    run windowed blocks through run_blocks instead."""
     steps, save_every = save_grid(t_end, dt, save_dt)
     c0 = project_initial(basis, x0)
     return run_blocks(

@@ -314,6 +314,58 @@ def test_cli_rejects_bad_levels(tmp_path, capsys, levels):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--grid-size", "200"], "basis.grid_size is not used by converge"),
+    (["--n-modes", "64"], "basis.n_modes 64 is not the finest converge level 32"),
+    (["--n-modes", "16"], "basis.n_modes 16 is not the finest converge level 32"),
+])
+def test_cli_converge_rejects_basis_settings_it_ignores(tmp_path, capsys, flags,
+                                                        needle):
+    # every level runs on the model's own basis of n modes on 4n points
+    code = cli.main(["converge", "--model", "p-laplacian", "--paths", "4",
+                     "--t-end", "0.01", *flags, "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, needle)
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_converge_basis_restates_only_the_finest_level(tmp_path):
+    doc = {"command": "converge", "model": {"name": "p-laplacian"},
+           "experiment": {"levels": [4, 8, 16, 32]}}
+    with pytest.raises(ConfigError, match="basis.v_weight_exponent is not used"):
+        load_config(write_cfg(tmp_path, {**doc, "basis": {"v_weight_exponent": 2.0}}))
+    with pytest.raises(ConfigError, match="basis.n_modes 16 is not the finest"):
+        load_config(write_cfg(tmp_path, {**doc, "basis": {"n_modes": 16}}))
+    cfg = load_config(write_cfg(tmp_path, {**doc, "basis": {"n_modes": 32}}))
+    assert cfg.basis["n_modes"] == 32 and cfg.experiment["levels"] == [4, 8, 16, 32]
+    # without a basis section the default n_modes is no restatement; the
+    # levels default to [8, 16, 32]
+    cfg = load_config(write_cfg(tmp_path, {"command": "converge",
+                                           "model": {"name": "heat-ou"}}))
+    assert cfg.experiment["levels"] == [8, 16, 32]
+    assert load_config(None, {"command": "converge", "model": "heat-ou",
+                              "n_modes": 32}).basis["n_modes"] == 32
+
+
+@pytest.mark.parametrize("command,experiment", [
+    ("equicontinuity", {"deltas": [0.02]}),
+    ("uniqueness", {"mode": "identical"}),
+])
+def test_cli_fits_no_rate_to_fewer_than_two_points(tmp_path, capsys, command,
+                                                   experiment):
+    # one delta, or an all-zero identical-runs table, leaves fewer than two
+    # points to fit: no slope is printed or written
+    out = tmp_path / "f"
+    path = write_cfg(tmp_path, {"command": command, "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4},
+                                "run": {"t_end": 0.08, "dt": 1e-3, "paths": 8},
+                                "experiment": experiment})
+    code = cli.main([command, "--config", path, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert "fitted" not in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert "fitted_rate" not in summary and summary["rows"]
+
+
 def test_config_normalises_levels(tmp_path):
     path = write_cfg(tmp_path, {"command": "converge", "model": {"name": "heat-ou"},
                                 "experiment": {"levels": [16.0, 4, 8]}})
@@ -376,6 +428,8 @@ def test_cli_moments_counts_overflowing_survivors(tmp_path, capsys):
     assert code == cli.EXIT_OK and capsys.readouterr().err == ""
     summary = (out / "summary.json").read_text()
     assert json.loads(summary)["n_blown"] == 17
+    # the overflowing sups are counted, but no path blew up
+    assert json.loads(summary)["first_blowup_t"] is None
     for text in (summary, (out / "moments.csv").read_text()):
         assert "Infinity" not in text and "NaN" not in text
         assert "inf" not in text and "nan" not in text

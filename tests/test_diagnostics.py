@@ -288,10 +288,10 @@ def test_galerkin_convergence_streams_noise():
 
 
 def test_galerkin_convergence_frees_noise_before_reductions():
-    # one 4 MiB noise buffer serves the block and is dropped before the
-    # block-end difference grids are built: the peak stays below the chunk
-    # plus twice the save grids (holding the chunk through the reductions,
-    # or a fresh array per chunk, each exceeded it)
+    # one 4 MiB noise buffer serves the block and each chunk's save rows
+    # are folded into scalars: the peak stays below the chunk plus twice
+    # the save grids (holding the chunk through whole-grid reductions, or
+    # a fresh noise array per chunk, each exceeded it)
     m = sm.PLaplacian(4.0, 1.0, 0.4)
     M, saves = 256, 51
     x0 = 0.5 / (1.0 + np.arange(32)) ** 2
@@ -363,7 +363,7 @@ def test_moments_and_equicontinuity_free_each_block(experiment):
 
 
 def test_galerkin_convergence_frees_each_block():
-    # a block's runs and difference grids are gone before the next block
+    # a block's runs and row values are gone before the next block
     # allocates, so a second block does not raise the peak
     m = sm.PLaplacian(4.0, 1.0, 0.4)
     x0 = 0.5 / (1.0 + np.arange(32)) ** 2
@@ -383,6 +383,9 @@ BLOCK_DRIVEN = {
     "converge": lambda m, b, x0, th: dg.galerkin_convergence(
         m, x0, [4, 8, 16], M=300, seed=1, t_end=0.02, dt=1e-3, save_dt=5e-3,
         threads=th),
+    "equicontinuity": lambda m, b, x0, th: dg.equicontinuity_statistic(
+        m, b, x0, [5e-3, 0.01], 2.0, M=300, seed=1, t_end=0.02, dt=1e-3,
+        save_dt=5e-3, threads=th),
     "continuity": lambda m, b, x0, th: dg.initial_data_continuity(
         m, b, x0, unit(16, 1), [0.1, 0.05], 2.0, M=300, seed=1, t_end=0.02,
         dt=1e-3, save_dt=5e-3, threads=th),
@@ -401,6 +404,118 @@ def test_block_driven_tables_thread_invariant(experiment):
     one, two = (BLOCK_DRIVEN[experiment](m, b, x0, th) for th in (1, 2))
     assert [r[3] for r in one.rows] == [300] * len(one.rows)
     assert one.rows == two.rows and one.fitted_rate == two.fitted_rate
+
+
+def full_grid_shift_rows(model, basis, x0, deltas, alpha, save_dt, **kw):
+    """equicontinuity_statistic's rows and blown count from solve_ensemble's
+    whole (M, S+1, n) grid, by the whole-grid formula."""
+    ens = sv.solve_ensemble(model, basis, x0, save_dt=save_dt, **kw)
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in dg.delta_shifts(deltas, save_dt, kw["t_end"]):
+            diff = ens.states[:, k:] - ens.states[:, :-k]
+            values.append(np.trapezoid(np.sum(diff * diff, axis=-1) ** (alpha / 2.0),
+                                       dx=save_dt, axis=1))
+    return dg._survivor_rows(deltas, np.array(values), ens.blow_t)
+
+
+def full_grid_cauchy_rows(model, x0, levels, alpha, M, seed, t_end, dt, save_dt):
+    """galerkin_convergence's rows and blown count from every level's whole
+    (M, S+1, n) save grid, by the whole-grid formula.  solve_ensemble
+    draws each level's own noise, so the common-noise levels run here on
+    unwindowed runs of the same block driver."""
+    bases = {n: model.make_basis(n) for n in levels}
+    m_fine = max(model.noise_modes(b) for b in bases.values())
+    steps, save_every = sv.save_grid(t_end, dt, save_dt)
+
+    def start(lo, hi):
+        return {n: sv.start_block(model, b, sv.project_initial(b, x0), hi - lo, steps,
+                                  dt, None, save_every) for n, b in bases.items()}
+
+    def advance(runs, chunk):
+        for n, b in bases.items():
+            sv._advance_block(model, b, runs[n], chunk)
+
+    def finish(lo, hi, runs):
+        errs = []
+        for a, bn in zip(levels[:-1], levels[1:]):
+            diff = runs[bn].saved.copy()
+            diff[:, :, :a] -= runs[a].saved
+            errs.append(np.trapezoid(np.sum(diff * diff, axis=-1) ** (alpha / 2.0),
+                                     dx=save_dt, axis=1))
+        return errs, np.fmin.reduce([run.blow_t for run in runs.values()])
+
+    values, blow_t = zip(*sv.run_blocks(M, seed, m_fine, steps, dt, start, advance,
+                                        finish))
+    return dg._survivor_rows(levels[:-1], np.concatenate(values, axis=1),
+                             np.concatenate(blow_t))
+
+
+@pytest.mark.parametrize("small_chunks", [False, True], ids=["chunks", "small-chunks"])
+@pytest.mark.parametrize("name", sm.ZOO)
+def test_windowed_tables_match_full_grid_reference(monkeypatch, name, small_chunks):
+    # M = 300 is a full block and a 44-path tail block.  With small chunks
+    # a full block's chunk is one step, so at save_every = 2 its windows
+    # hold no save row or one, while the tail block's chunks of five steps
+    # hold two or three; every shift but the first crosses chunk
+    # boundaries.  The windowed rows equal the whole-grid rows bit for bit.
+    model = sm.build_model(name)
+    b = model.make_basis(8)
+    x0 = 0.5 / (1.0 + np.arange(8)) ** 2
+    kw = dict(M=300, seed=6, t_end=0.04, dt=1e-3)
+    levels = [4, 8]
+    if small_chunks:
+        m_fine = max(model.noise_modes(model.make_basis(n)) for n in levels)
+        assert model.noise_modes(b) == m_fine
+        monkeypatch.setattr(sn, "CHUNK_NORMALS", sv.BLOCK * m_fine)
+        assert sn.chunk_steps(sv.BLOCK, m_fine) == 1
+        assert sn.chunk_steps(300 - sv.BLOCK, m_fine) == 5
+    deltas = [2e-3, 6e-3, 0.014]
+    eq = dg.equicontinuity_statistic(model, b, x0, deltas, model.alpha,
+                                     save_dt=2e-3, **kw)
+    rows, n_blown = full_grid_shift_rows(model, b, x0, deltas, model.alpha, 2e-3, **kw)
+    assert eq.rows == rows and eq.extra["n_blown"] == n_blown
+    cv = dg.galerkin_convergence(model, x0, levels, alpha=model.alpha, save_dt=2e-3,
+                                 **kw)
+    rows, n_blown = full_grid_cauchy_rows(model, x0, levels, model.alpha,
+                                          save_dt=2e-3, **kw)
+    assert cv.rows == rows and cv.extra["n_blown"] == n_blown
+
+
+@pytest.mark.parametrize("experiment", ["converge", "equicontinuity"])
+def test_windowed_peak_does_not_grow_with_t_end(experiment):
+    # only a tail of save rows and (M, rows) scalars outlive a chunk, so a
+    # run four times as long peaks within 2 % of the short one; whole
+    # save grids grew the peak by 15 % (converge) and 6 % (equicontinuity).
+    # Both runs fill whole noise chunks, so the noise buffer is the same,
+    # and an untraced first run keeps one-time set-up out of the peaks.
+    m = sm.PLaplacian(4.0, 1.0, 0.4)
+    x0 = 0.5 / (1.0 + np.arange(32)) ** 2
+    run = {"converge": lambda t_end: dg.galerkin_convergence(
+               m, x0, [16, 32], M=64, seed=1, t_end=t_end, dt=1e-4, save_dt=5e-3),
+           "equicontinuity": lambda t_end: dg.equicontinuity_statistic(
+               m, m.make_basis(32), x0, [0.05, 0.1], 2.0, M=64, seed=1,
+               t_end=6 * t_end, dt=1e-3, save_dt=0.05)}[experiment]
+    run(0.05)
+    peaks = []
+    for t_end in (0.05, 0.2):
+        tracemalloc.start()
+        try:
+            tab = run(t_end)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [r[3] for r in tab.rows] == [64] * len(tab.rows)
+    assert peaks[1] <= 1.02 * peaks[0]
+
+
+def test_loglog_fit_needs_two_positive_points():
+    assert dg.loglog_fit([0.02], [1.0]) is None
+    assert dg.loglog_fit([1.0, 2.0, 4.0], [0.0, 0.0, 0.0]) is None
+    assert dg.loglog_fit([1.0, 2.0, 4.0], [0.0, 1.0, 0.0]) is None
+    slope, intercept, r2 = dg.loglog_fit([1.0, 2.0], [3.0, 12.0])
+    assert slope == pytest.approx(2.0) and intercept == pytest.approx(np.log(3.0))
+    assert r2 == pytest.approx(1.0)
 
 
 def test_mean_se_scales_before_squaring():
@@ -491,9 +606,18 @@ def test_every_experiment_counts_blowups_one_way(name):
     assert 0 < n_blown < 40
     for _, est, se, M in tab.rows:
         assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
+    first = tab.extra["first_blowup_t"]
+    assert 0.0 < first <= 1.0
+    if name in ("moments", "equicontinuity"):
+        m = QuadraticOU(1.0)
+        ens = sv.solve_ensemble(m, m.make_basis(4), np.zeros(4), M=40, seed=2,
+                                t_end=1.0, dt=1e-2)
+        assert first == np.nanmin(ens.blow_t)
     with pytest.raises(NonfiniteStateError, match="all 40 paths blew up") as ei:
         run_experiment(name, QuadraticOU(1.0), 10.0 * unit(4))
     assert ei.value.time is not None
+    assert run_experiment(name, sm.HeatOU(0.5), np.zeros(4)).extra["first_blowup_t"] \
+        is None
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
