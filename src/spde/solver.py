@@ -35,11 +35,12 @@ as it is.  The arithmetic, and so every bit, is that of the same
 expressions on (n,) constants.
 
 `_advance_block` carries a block's state from chunk to chunk, so memory
-holds one chunk rather than the block's whole noise.  Chunks fed in order give the same bits as a single chunk holding every
-step.  The fixed BLOCK keeps a path's arithmetic independent of the
-number of worker threads; it does not make it independent of the path's
-position in its block (outside elementwise models such as heat-ou, the
-batched transforms can round differently).
+holds one chunk rather than the block's whole noise.  Chunks fed in
+order give the same bits as a single chunk holding every step.  The
+fixed BLOCK keeps a path's arithmetic independent of the number of
+worker threads; it does not make it independent of the path's position
+in its block (outside elementwise models such as heat-ou, the batched
+transforms can round differently).
 """
 
 import math
