@@ -123,6 +123,19 @@ def analyze(basis, grid_values):
     return (v * basis.weights) @ basis.fns.T
 
 
+def row_matmul(a, matrix):
+    """a @ matrix over the rows of a (..., k), a row's bits whatever rows
+    come with it.  OpenBLAS picks its kernel, and so its rounding, by
+    problem size; zero-padding the rows to a multiple of 256 keeps every
+    row count on the same kernels."""
+    rows = a.reshape(-1, a.shape[-1])
+    pad = -len(rows) % 256
+    if pad:
+        rows = np.concatenate([rows, np.zeros((pad, rows.shape[1]))])
+    out = rows @ matrix
+    return out[:len(out) - pad].reshape(a.shape[:-1] + out.shape[1:])
+
+
 def h_norm(basis, state):
     """L² norm via Parseval: the Euclidean norm of the coefficients."""
     return np.linalg.norm(np.asarray(state, float), axis=-1)
@@ -134,7 +147,7 @@ def v_norm(basis, model, state):
     Spectral models use diagonal weights (1+lambda_k)^s; gradient-seminorm
     models (the p-Laplacian class) use the L^alpha norm of the derivative,
     which is equivalent to the full W^{1,alpha} norm on these bounded
-    domains.
+    domains.  Its matmuls are row_matmul's.
     """
     c = np.asarray(state, float)
     kind = getattr(model, "v_norm_kind", None)
@@ -142,9 +155,9 @@ def v_norm(basis, model, state):
         w = (1.0 + basis.eigenvalues) ** basis.v_weight_exponent
         return np.sqrt(np.sum(w * c * c, axis=-1))
     if kind == "gradient-seminorm":
-        du = c @ basis.dfns
         a = model.alpha
-        return (np.abs(du) ** a @ basis.weights) ** (1.0 / a)
+        du = row_matmul(c, basis.dfns)
+        return row_matmul(np.abs(du) ** a, basis.weights) ** (1.0 / a)
     raise UnsupportedModelNormError(
         f"model {getattr(model, 'name', model)!r} declares no V-norm kind")
 

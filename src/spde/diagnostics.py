@@ -5,12 +5,11 @@ DiagnosticTable: keyed Monte Carlo estimates with standard errors and,
 where a rate is asserted, a log-log fit.  Each runs its paths in blocks
 through solver.run_blocks and reduces a block to per-path statistics
 before it lets the block go, so memory is bounded in the path count M.
-Four of them run windowed blocks and fold each chunk's save rows into
-per-path scalars as the chunk ends: running maxima (continuity,
-uniqueness) or per-row values integrated at the block's end (converge,
-equicontinuity), so their memory does not grow with the number of
-saves either.  The moments still reduce each block's whole
-(BLOCK, S+1, n) save grid (solver.ensemble_blocks).
+Every run is windowed: each chunk's save rows are folded into per-path
+scalars as the chunk ends, as running maxima (moments, continuity,
+uniqueness) or as per-row values integrated at the block's end
+(moments, converge, equicontinuity), so memory does not grow with the
+number of saves either.
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -28,8 +27,6 @@ from . import solver as sv
 from .errors import InadmissiblePError, InvalidDeltaError, NonfiniteStateError
 
 PROBE_MODES = ("dt-refinement", "stepper", "identical")
-
-REDUCE_VALUES = 2 ** 20     # grid values per slice of paths: 8 MiB per temporary
 
 
 @dataclass
@@ -104,17 +101,6 @@ def _trapezoid(parts, dx):
     return np.trapezoid(np.concatenate(parts, axis=1), dx=dx, axis=1)
 
 
-def _path_slices(states, width):
-    """A block's (paths, S+1, n) states, k paths at a time with
-    k * (S+1) * width at most REDUCE_VALUES (at least one path), so that
-    a reduction's temporaries of last axis `width` stay bounded.  Each path is reduced
-    as a one-path array would be: the row reductions run along the last
-    axis and the matmuls path by path."""
-    k = max(1, REDUCE_VALUES // (states.shape[1] * width))
-    for lo in range(0, len(states), k):
-        yield states[lo:lo + k]
-
-
 def _first_blowups(runs):
     """Per path, the earliest blow-up time over `runs` (BlockRuns of the
     same paths), NaN where every run stayed finite."""
@@ -172,26 +158,40 @@ def check_moment_exponent(model, p):
 def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt=None,
                   stepper=None, threads=None):
     """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}
-    over M paths from x0 (solver.ensemble_blocks)."""
+    over M paths from x0, one windowed run per block (solver.run_blocks):
+    each chunk's save rows update a running sup of ||X||_H and add their
+    ||X||_V^alpha, one save row at a time, to the per-path integrand."""
     check_moment_exponent(model, p)
     save_dt = save_dt if save_dt is not None else dt
+    steps, save_every = sv.save_grid(t_end, dt, save_dt)
+    c0 = sv.project_initial(basis, x0)
 
-    def reduce(saved):
-        # the last powers are np.float64 scalar powers, as per path before;
-        # numpy's array power can round differently.  Blown paths give NaN
-        # and a survivor's power can overflow; _survivor_rows counts both.
-        sup_p, vint_p = [], []
-        for states in _path_slices(saved, basis.grid_size):
-            sup = np.max(np.linalg.norm(states, axis=-1), axis=1)
-            vint = np.trapezoid(sb.v_norm(basis, model, states) ** alpha,
-                                dx=save_dt, axis=1)
-            sup_p += [s ** p for s in sup]
-            vint_p += [v ** (p / 2.0) for v in vint]
-        return np.array([sup_p, vint_p])
+    def start(lo, hi):
+        run = sv.start_block(model, basis, c0, hi - lo, dt, stepper, save_every)
+        # (run, running sup of ||X||_H, the (k, rows) ||X||_V^alpha of each chunk)
+        return run, np.full(hi - lo, -np.inf), []
+
+    def advance(state, chunk):
+        run, top, parts = state
+        sv._advance_block(model, basis, run, chunk)
+        rows = run.pop_saves()
+        np.maximum(top, _row_max(np.linalg.norm(rows, axis=-1)), out=top)
+        vals = [sb.v_norm(basis, model, rows[:, i]) for i in range(rows.shape[1])]
+        if vals:
+            parts.append(np.stack(vals, axis=1) ** alpha)
+
+    def finish(lo, hi, state):
+        run, top, parts = state
+        # the powers are np.float64 scalar powers, as per path; numpy's
+        # array power can round differently.  Blown paths give NaN and a
+        # survivor's power can overflow; _survivor_rows counts both.
+        return (np.array([[s ** p for s in top],
+                          [v ** (p / 2.0) for v in _trapezoid(parts, save_dt)]]),
+                run.blow_t)
 
     return _table("moments", [0.0, 1.0],
-                  sv.ensemble_blocks(model, basis, x0, M, seed, reduce, stepper,
-                                     t_end, dt, save_dt, threads),
+                  sv.run_blocks(M, seed, model.noise_modes(basis), steps, dt, start,
+                                advance, finish, threads=threads),
                   fit=False, p=p, alpha=alpha,
                   row_keys=["sup_h_pow_p", "v_int_pow_p_half"])
 
@@ -228,8 +228,7 @@ def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end
     depth = max(shifts)
 
     def start(lo, hi):
-        run = sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper, save_every,
-                             window=True)
+        run = sv.start_block(model, basis, c0, hi - lo, dt, stepper, save_every)
         # (run, tail of the latest save rows, per-shift lists of (k, rows) values)
         return [run, np.empty((hi - lo, 0, basis.n_modes)), [[] for _ in shifts]]
 
@@ -280,8 +279,7 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
 
     def start(lo, hi):
         runs = {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
-                                  hi - lo, steps, dt, stepper, save_every, window=True)
-                for n in levels}
+                                  hi - lo, dt, stepper, save_every) for n in levels}
         # per level pair, the (k, rows) values of each chunk's save rows
         return runs, [[] for _ in levels[1:]]
 
@@ -319,8 +317,8 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
     starts = [x0] + [x0 + e * d for e in perturbation_sizes]
 
     def start(lo, hi):
-        runs = [sv.start_block(model, basis, c0, hi - lo, steps, dt, stepper,
-                               save_every, window=True) for c0 in starts]
+        runs = [sv.start_block(model, basis, c0, hi - lo, dt, stepper, save_every)
+                for c0 in starts]
         # running sup over the save rows of each chunk: only (M,) maxima
         # outlive a chunk
         return runs, np.full((len(perturbation_sizes), hi - lo), -np.inf)
@@ -382,8 +380,7 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     factors = {f for pair in pairs.values() for _, f, _, _ in pair}
 
     def start(lo, hi):
-        runs = {d: [sv.start_block(model, basis, x0, hi - lo, steps_fine // f, h, st,
-                                   se, window=True)
+        runs = {d: [sv.start_block(model, basis, x0, hi - lo, h, st, se)
                     for h, f, st, se in pair]
                 for d, pair in pairs.items()}
         return runs, {d: np.full(hi - lo, -np.inf) for d in dts}

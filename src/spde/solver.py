@@ -15,14 +15,12 @@ noise.stream_block) and the chunk's lifetime.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
 
-Most experiments run windowed (`start_block(..., window=True)`): a run
-keeps only its latest chunk's save rows, which the experiment pops and
-folds into per-path scalars, so no block holds a save grid and memory
-does not grow with the number of saves.  Three runs still keep whole
-(M, S+1, n) grids: `solve_path`'s one path, `solve_ensemble`, the
-reference ensemble of the tests, and `ensemble_blocks`, the driver of
-the moments, which reduces each block's grid as soon as the block ends,
-so memory holds the grids of the blocks in flight, not the ensemble's.
+Every run is windowed: a BlockRun keeps only its latest chunk's save
+rows, which the caller pops (BlockRun.pop_saves) and folds into per-path
+scalars, so no block holds a save grid and memory does not grow with
+the number of saves.  `solve_path` (the simulate command's one path)
+and `solve_ensemble` (the tests' reference ensemble) join the popped
+windows into the whole (S+1, n) or (M, S+1, n) grid.
 
 `start_block` prepares a block once.  Its BlockRun holds the stepper's
 diagonal L and the denominator 1 - dt*L broadcast to the block's (M, n)
@@ -130,7 +128,7 @@ class BlockRun:
 
     model: object              # the model as prepared for the block's basis and M
     c: np.ndarray              # (M, n) current coefficients
-    saved: np.ndarray          # (M, rows, n) save-grid states, NaN past blow-up
+    saved: np.ndarray          # (M, rows, n) latest chunk's save rows, NaN past blow-up
     blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
     alive: np.ndarray          # (M,) bool
     dt: float
@@ -138,7 +136,6 @@ class BlockRun:
     L: np.ndarray = None       # (M, n) diagonal linear part when semi-implicit
     denom: np.ndarray = None   # (M, n) 1 - dt*L
     step: int = 0              # global index of the next step
-    window: bool = False       # saved holds only the latest chunk's rows
     row0: int = 0              # save-grid index of saved[:, 0]
 
     def open_window(self, k):
@@ -151,8 +148,8 @@ class BlockRun:
             self.saved[:, 0] = self.c
 
     def pop_saves(self):
-        """The save rows of a windowed run's latest chunk, released from
-        the run so that no more than one chunk's rows outlive it."""
+        """The save rows of the run's latest chunk, released from the run
+        so that no more than one chunk's rows outlive it."""
         rows, self.saved = self.saved, None
         return rows
 
@@ -166,15 +163,12 @@ class BlockRun:
         return np.where(self.alive[:, None], c, 0.0)
 
 
-def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
-                window=False):
-    """A BlockRun of M copies of the coefficient vector x0 at t = 0, with
-    room for the saves of n_steps steps, or with window=True for the save
-    rows of one chunk at a time (see BlockRun.pop_saves).  The run holds
-    the model prepared for `basis` and M rows, and the semi-implicit L
-    and 1 - dt*L broadcast to (M, n).  Every run starts here, so this is
-    where a stepper of None becomes the model's default and an unknown
-    one is rejected."""
+def start_block(model, basis, x0, M, dt, stepper, save_every):
+    """A BlockRun of M copies of the coefficient vector x0 at t = 0.  The
+    run holds the model prepared for `basis` and M rows, and the
+    semi-implicit L and 1 - dt*L broadcast to (M, n).  Every run starts
+    here, so this is where a stepper of None becomes the model's default
+    and an unknown one is rejected."""
     stepper = stepper or model.default_stepper
     if stepper not in STEPPERS:
         raise ConfigError(f"unknown stepper {stepper!r}")
@@ -187,24 +181,20 @@ def start_block(model, basis, x0, M, n_steps, dt, stepper, save_every,
         L = np.repeat(np.asarray(L, float)[None, :], M, axis=0)
         denom = 1.0 - dt * L
     c = np.repeat(np.asarray(x0, float)[None, :], M, axis=0)
-    saved = None
-    if not window:
-        saved = np.empty((M, n_steps // save_every + 1, c.shape[-1]))
-        saved[:, 0] = c
-    return BlockRun(model=model.prepare(basis, M), c=c, saved=saved,
+    return BlockRun(model=model.prepare(basis, M), c=c, saved=None,
                     blow_t=np.full(M, np.nan), alive=np.ones(M, bool), dt=dt,
-                    save_every=save_every, L=L, denom=denom, window=window)
+                    save_every=save_every, L=L, denom=denom)
 
 
 def _advance_block(model, basis, run, increments):
     """Advance `run` in place through one time-major chunk of increments
     (k, M, m).  `model` and `basis` are those the run was started with;
-    the steps call the run's prepared copy of the model.  Rows that turn
+    the steps call the run's prepared copy of the model.  The chunk's
+    save rows replace run.saved (BlockRun.open_window).  Rows that turn
     non-finite get their blow-up time and are NaN on the save grid from
     then on."""
     increments = fit_noise_columns(increments, model.noise_modes(basis))
-    if run.window:
-        run.open_window(len(increments))
+    run.open_window(len(increments))
     model, c, L, denom = run.model, run.c, run.L, run.denom
     dt, save_every = run.dt, run.save_every
     # a row on its way to blowing up overflows before it is retired
@@ -280,15 +270,15 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     if noise_path.m_modes < m_need:
         raise ConfigError(
             f"noise path carries {noise_path.m_modes} modes, model uses {m_need}")
-    run = start_block(model, basis, project_initial(basis, x0), 1, steps, dt,
-                      stepper, save_every)
+    run = start_block(model, basis, project_initial(basis, x0), 1, dt, stepper,
+                      save_every)
     _advance_block(model, basis, run, noise_path.increments[:steps, None, :])
     if np.isfinite(run.blow_t[0]):
         raise NonfiniteStateError(
             f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
             time=float(run.blow_t[0]), path_id=noise_path.path_id)
     return Trajectory(times=save_dt * np.arange(steps // save_every + 1),
-                      states=run.saved[0])
+                      states=run.pop_saves()[0])
 
 
 def project_initial(basis, x0):
@@ -302,45 +292,44 @@ def project_initial(basis, x0):
     return out
 
 
-def ensemble_blocks(model, basis, x0, M, seed, reduce, stepper, t_end, dt, save_dt,
-                    threads=None):
-    """M independent paths, path_id = 0..M-1, from the initial value x0,
-    reproducible for a fixed M.  Returns [(reduce(saved), blow_t)] in
-    block order: saved is the block's (k, S+1, n) save grid, NaN from a
-    path's blow-up on, and blow_t its (k,) blow-up times, NaN for the
-    paths that stayed finite.  A block's grid is dropped once reduced;
-    the run goes on past a blow-up, and the experiments count the blown
-    paths (diagnostics._survivor_rows).  It serves the moments and
-    solve_ensemble; experiments that can fold save rows chunk by chunk
-    run windowed blocks through run_blocks instead."""
-    steps, save_every = save_grid(t_end, dt, save_dt)
-    c0 = project_initial(basis, x0)
-    return run_blocks(
-        M, seed, model.noise_modes(basis), steps, dt,
-        lambda lo, hi: start_block(model, basis, c0, hi - lo, steps, dt, stepper,
-                                   save_every),
-        lambda run, chunk: _advance_block(model, basis, run, chunk),
-        lambda lo, hi, run: (reduce(run.saved), run.blow_t), threads=threads)
-
-
 def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
                    save_dt=None, threads=None):
-    """The paths of ensemble_blocks with every block's save grid kept, as
-    one (M, S+1, n) TrajectoryEnsemble."""
+    """M independent paths, path_id = 0..M-1, from the initial value x0,
+    reproducible for a fixed M, as one (M, S+1, n) TrajectoryEnsemble of
+    every block's popped windows.  The run goes on past a blow-up: a
+    path is NaN from then on, with its blow-up time in blow_t."""
     save_dt = save_dt if save_dt is not None else dt
-    states, blow_t = zip(*ensemble_blocks(model, basis, x0, M, seed, lambda saved: saved,
-                                          stepper, t_end, dt, save_dt, threads))
+    steps, save_every = save_grid(t_end, dt, save_dt)
+    c0 = project_initial(basis, x0)
+
+    def advance(state, chunk):
+        run, windows = state
+        _advance_block(model, basis, run, chunk)
+        windows.append(run.pop_saves())
+
+    states, blow_t = zip(*run_blocks(
+        M, seed, model.noise_modes(basis), steps, dt,
+        lambda lo, hi: (start_block(model, basis, c0, hi - lo, dt, stepper,
+                                    save_every), []),
+        advance,
+        lambda lo, hi, state: (np.concatenate(state[1], axis=1), state[0].blow_t),
+        threads=threads))
     states = np.concatenate(states)
     return TrajectoryEnsemble(states=states, blow_t=np.concatenate(blow_t),
                               times=save_dt * np.arange(states.shape[1]))
 
 
 def trajectory_csv_rows(traj, model, basis):
-    """CSV export: t, c_1..c_n, h_norm, v_norm."""
+    """CSV export: t, c_1..c_n, h_norm, v_norm.  A saved norm that overflows
+    is a blow-up, as in the experiments: NonfiniteStateError at its time."""
     header = ["t"] + [f"c_{k+1}" for k in range(basis.n_modes)] + ["h_norm", "v_norm"]
     rows = [header]
-    h = traj.h_norms()
-    v = sb.v_norm(basis, model, traj.states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, v = traj.h_norms(), sb.v_norm(basis, model, traj.states)
+    bad = ~(np.isfinite(h) & np.isfinite(v))
+    if bad.any():
+        t = float(traj.times[np.argmax(bad)])
+        raise NonfiniteStateError(f"the saved norms overflow at t={t:.6g}", time=t)
     for i, t in enumerate(traj.times):
         rows.append([repr(float(t))] + [repr(float(x)) for x in traj.states[i]]
                     + [repr(float(h[i])), repr(float(v[i]))])

@@ -118,6 +118,23 @@ def test_v_norm_gradient_seminorm_p4():
     assert abs(v - expect) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_v_norm_row_bits_do_not_depend_on_row_count(p, n):
+    # OpenBLAS picks its kernel by problem size; the padded rows keep a
+    # row's bits alone, in a reshaped batch and among any number of rows
+    m = PLaplacian(p, 1.0, 0.4)
+    b = m.make_basis(n)
+    u = sb.sample_coeffs(b, 600, seed=7)
+    ref = sb.v_norm(b, m, u)
+    for k in (1, 37, 255, 256, 299):
+        assert np.array_equal(sb.v_norm(b, m, u[:k]), ref[:k])
+    assert np.array_equal(sb.v_norm(b, m, u[:300].reshape(20, 15, n)),
+                          ref[:300].reshape(20, 15))
+    for i in (0, 36, 254, 255, 298, 599):
+        assert sb.v_norm(b, m, u[i]) == ref[i]
+
+
 def test_v_norm_zero_iff_zero_dirichlet():
     b = sb.build_basis("dirichlet-interval", 5, 20)
     assert sb.v_norm(b, SpectralProxy(), np.zeros(5)) == 0.0

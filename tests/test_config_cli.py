@@ -149,6 +149,20 @@ def test_cli_blowup_exit_code(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_cli_simulate_overflowing_norms_exit_blowup(tmp_path, capsys):
+    # the path stays finite (near 1e293), but its saved norms overflow from
+    # t = 1.87 on: a blow-up, with no Infinity written and no warning
+    out = tmp_path / "sim"
+    code = cli.main(["simulate", "--model", "gradient-noise-heat", "--nu", "30",
+                     "--n-modes", "8", "--dt", "1e-2", "--t-end", "3.5",
+                     "--out", str(out)])
+    assert code == cli.EXIT_BLOWUP
+    err = capsys.readouterr().err
+    assert err == "blow-up: the saved norms overflow at t=1.87\n"
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_csv_byte_reproducible(tmp_path):
     args = ["moments", "--model", "heat-ou", "--paths", "50", "--seed", "9",
             "--t-end", "0.2", "--dt", "0.001", "--save-dt", "0.01"]

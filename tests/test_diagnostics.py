@@ -340,15 +340,17 @@ def test_uniqueness_probe_rejects_bad_mode_and_levels():
 
 @pytest.mark.parametrize("experiment", ["moments", "equicontinuity"])
 def test_moments_and_equicontinuity_free_each_block(experiment):
-    # each block's save grid is reduced to per-path statistics and dropped
-    # before the next block runs: three blocks peak as one does, and below
-    # one (M, S+1, n) grid of all three
+    # each block's per-path statistics are all that outlive it, and its
+    # run is dropped before the next block runs: three blocks peak as one
+    # does, and below one (M, S+1, n) grid of all three.  An untraced
+    # first run keeps one-time set-up out of the peaks.
     m = sm.HeatOU(0.5)
     b = m.make_basis(8)
     kw = dict(seed=1, t_end=1.0, dt=1e-3, save_dt=1e-3)
     run = {"moments": lambda M: dg.moment_report(m, b, unit(8), 2.0, 2.0, M, **kw),
            "equicontinuity": lambda M: dg.equicontinuity_statistic(
                m, b, unit(8), [0.002, 0.004], 2.0, M, **kw)}[experiment]
+    run(sv.BLOCK)
     peaks = []
     for M in (sv.BLOCK, 3 * sv.BLOCK):
         tracemalloc.start()
@@ -364,15 +366,18 @@ def test_moments_and_equicontinuity_free_each_block(experiment):
 
 def test_galerkin_convergence_frees_each_block():
     # a block's runs and row values are gone before the next block
-    # allocates, so a second block does not raise the peak
+    # allocates, so a second block does not raise the peak.  An untraced
+    # first run keeps one-time set-up out of the peaks.
     m = sm.PLaplacian(4.0, 1.0, 0.4)
     x0 = 0.5 / (1.0 + np.arange(32)) ** 2
+    run = lambda M: dg.galerkin_convergence(m, x0, [16, 32], M=M, seed=3, t_end=0.05,
+                                            dt=1e-4, save_dt=1e-3)
+    run(256)
     peaks = []
     for M in (256, 512):
         tracemalloc.start()
         try:
-            dg.galerkin_convergence(m, x0, [16, 32], M=M, seed=3, t_end=0.05,
-                                    dt=1e-4, save_dt=1e-3)
+            run(M)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -380,6 +385,9 @@ def test_galerkin_convergence_frees_each_block():
 
 
 BLOCK_DRIVEN = {
+    "moments": lambda m, b, x0, th: dg.moment_report(
+        m, b, x0, 3.0, m.alpha, M=300, seed=1, t_end=0.02, dt=1e-3, save_dt=5e-3,
+        threads=th),
     "converge": lambda m, b, x0, th: dg.galerkin_convergence(
         m, x0, [4, 8, 16], M=300, seed=1, t_end=0.02, dt=1e-3, save_dt=5e-3,
         threads=th),
@@ -423,27 +431,32 @@ def full_grid_cauchy_rows(model, x0, levels, alpha, M, seed, t_end, dt, save_dt)
     """galerkin_convergence's rows and blown count from every level's whole
     (M, S+1, n) save grid, by the whole-grid formula.  solve_ensemble
     draws each level's own noise, so the common-noise levels run here on
-    unwindowed runs of the same block driver."""
+    the same block driver, which joins each level's popped windows into
+    its whole grid."""
     bases = {n: model.make_basis(n) for n in levels}
     m_fine = max(model.noise_modes(b) for b in bases.values())
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
 
     def start(lo, hi):
-        return {n: sv.start_block(model, b, sv.project_initial(b, x0), hi - lo, steps,
-                                  dt, None, save_every) for n, b in bases.items()}
+        return {n: (sv.start_block(model, b, sv.project_initial(b, x0), hi - lo, dt,
+                                   None, save_every), [])
+                for n, b in bases.items()}
 
     def advance(runs, chunk):
         for n, b in bases.items():
-            sv._advance_block(model, b, runs[n], chunk)
+            run, windows = runs[n]
+            sv._advance_block(model, b, run, chunk)
+            windows.append(run.pop_saves())
 
     def finish(lo, hi, runs):
+        grids = {n: np.concatenate(windows, axis=1) for n, (_, windows) in runs.items()}
         errs = []
         for a, bn in zip(levels[:-1], levels[1:]):
-            diff = runs[bn].saved.copy()
-            diff[:, :, :a] -= runs[a].saved
+            diff = grids[bn].copy()
+            diff[:, :, :a] -= grids[a]
             errs.append(np.trapezoid(np.sum(diff * diff, axis=-1) ** (alpha / 2.0),
                                      dx=save_dt, axis=1))
-        return errs, np.fmin.reduce([run.blow_t for run in runs.values()])
+        return errs, np.fmin.reduce([run.blow_t for run, _ in runs.values()])
 
     values, blow_t = zip(*sv.run_blocks(M, seed, m_fine, steps, dt, start, advance,
                                         finish))
@@ -458,7 +471,8 @@ def test_windowed_tables_match_full_grid_reference(monkeypatch, name, small_chun
     # a full block's chunk is one step, so at save_every = 2 its windows
     # hold no save row or one, while the tail block's chunks of five steps
     # hold two or three; every shift but the first crosses chunk
-    # boundaries.  The windowed rows equal the whole-grid rows bit for bit.
+    # boundaries.  The windowed rows equal the whole-grid rows bit for bit,
+    # and the moments those of one path at a time.
     model = sm.build_model(name)
     b = model.make_basis(8)
     x0 = 0.5 / (1.0 + np.arange(8)) ** 2
@@ -480,13 +494,18 @@ def test_windowed_tables_match_full_grid_reference(monkeypatch, name, small_chun
     rows, n_blown = full_grid_cauchy_rows(model, x0, levels, model.alpha,
                                           save_dt=2e-3, **kw)
     assert cv.rows == rows and cv.extra["n_blown"] == n_blown
+    mo = dg.moment_report(model, b, x0, 2.5, model.alpha, save_dt=2e-3, **kw)
+    ens = sv.solve_ensemble(model, b, x0, save_dt=2e-3, **kw)
+    assert mo.rows == per_path_moments(ens, model, b, 2e-3, 2.5, model.alpha)
+    assert mo.extra["n_blown"] == np.count_nonzero(~np.isnan(ens.blow_t))
 
 
-@pytest.mark.parametrize("experiment", ["converge", "equicontinuity"])
+@pytest.mark.parametrize("experiment", ["converge", "equicontinuity", "moments"])
 def test_windowed_peak_does_not_grow_with_t_end(experiment):
     # only a tail of save rows and (M, rows) scalars outlive a chunk, so a
     # run four times as long peaks within 2 % of the short one; whole
-    # save grids grew the peak by 15 % (converge) and 6 % (equicontinuity).
+    # save grids grew the peak by 15 % (converge), 6 % (equicontinuity)
+    # and 118 % (moments, whose V-norm ran over a block's whole grid).
     # Both runs fill whole noise chunks, so the noise buffer is the same,
     # and an untraced first run keeps one-time set-up out of the peaks.
     m = sm.PLaplacian(4.0, 1.0, 0.4)
@@ -495,7 +514,10 @@ def test_windowed_peak_does_not_grow_with_t_end(experiment):
                m, x0, [16, 32], M=64, seed=1, t_end=t_end, dt=1e-4, save_dt=5e-3),
            "equicontinuity": lambda t_end: dg.equicontinuity_statistic(
                m, m.make_basis(32), x0, [0.05, 0.1], 2.0, M=64, seed=1,
-               t_end=6 * t_end, dt=1e-3, save_dt=0.05)}[experiment]
+               t_end=6 * t_end, dt=1e-3, save_dt=0.05),
+           "moments": lambda t_end: dg.moment_report(
+               m, m.make_basis(32), x0, 2.0, 2.0, M=64, seed=1, t_end=6 * t_end,
+               dt=1e-3, save_dt=5e-3)}[experiment]
     run(0.05)
     peaks = []
     for t_end in (0.05, 0.2):
@@ -689,20 +711,17 @@ def per_path_moments(ens, model, basis, save_dt, p, alpha):
     (sm.PLaplacian(4.0, 1.0, 0.5), 16, 1e-3), (sm.PLaplacian(3.0, 1.0, 0.5), 32, 0.02),
     (QuadraticOU(4.5), 4, 0.02),
 ])
-def test_moment_report_matches_per_path_reference(monkeypatch, model, n, save_dt):
-    # the block reductions give each path's bits as a one-path array does,
-    # whole or in slices of paths, and with blown paths left out (some of
-    # the quadratic-ou paths blow up)
+def test_moment_report_matches_per_path_reference(model, n, save_dt):
+    # the windowed reductions give each path's bits as a one-path array
+    # does, with blown paths left out (some of the quadratic-ou paths blow
+    # up)
     b = model.make_basis(n)
     x0 = 0.5 / (1.0 + np.arange(n)) ** 2
     kw = dict(M=300, seed=5, t_end=0.2, dt=1e-3, save_dt=save_dt)
     ens = sv.solve_ensemble(model, b, x0, **kw)
     for p in (2.0, 3.0):
-        ref = per_path_moments(ens, model, b, save_dt, p, model.alpha)
-        assert dg.moment_report(model, b, x0, p, model.alpha, **kw).rows == ref
-    monkeypatch.setattr(dg, "REDUCE_VALUES", 7 * ens.states.shape[1] * b.grid_size)
-    tab = dg.moment_report(model, b, x0, 2.0, model.alpha, **kw)
-    assert tab.rows == per_path_moments(ens, model, b, save_dt, 2.0, model.alpha)
+        tab = dg.moment_report(model, b, x0, p, model.alpha, **kw)
+        assert tab.rows == per_path_moments(ens, model, b, save_dt, p, model.alpha)
     n_blown = np.count_nonzero(~np.isnan(ens.blow_t))
     assert tab.extra["n_blown"] == n_blown and tab.rows[0][3] == 300 - n_blown
     assert (n_blown > 0) == isinstance(model, QuadraticOU)

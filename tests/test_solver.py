@@ -50,7 +50,7 @@ class ExplodingModel(sm.Model):
 def one_step(model, basis, c, dt, stepper):
     """One `stepper` step of the single path c under zero noise, through
     the block stepper; returns the one-row BlockRun."""
-    run = sv.start_block(model, basis, c, 1, 1, dt, stepper, 1)
+    run = sv.start_block(model, basis, c, 1, dt, stepper, 1)
     sv._advance_block(model, basis, run, np.zeros((1, 1, basis.n_modes)))
     return run
 
@@ -102,7 +102,7 @@ def test_semi_implicit_needs_linear_part():
     m = sm.PLaplacian(4, 1.0, 0.0)
     b = m.make_basis(4)
     with pytest.raises(UnsupportedModelNormError):
-        sv.start_block(m, b, unit(4), 1, 1, 0.01, "semi-implicit", 1)
+        sv.start_block(m, b, unit(4), 1, 0.01, "semi-implicit", 1)
 
 
 def test_stepper_consistency_order():
@@ -279,22 +279,10 @@ def test_trajectory_csv_rows():
 
 def chunked_run(model, basis, x0, inc, dt, stepper, save_every, lengths):
     """Advance one block through `inc` (steps, M, m) cut into chunks of the
-    given lengths (cycled); returns the finished BlockRun."""
+    given lengths (cycled); returns the finished BlockRun and the save
+    rows it popped chunk by chunk, joined into the (M, S+1, n) grid."""
     steps, M, _ = inc.shape
-    run = sv.start_block(model, basis, x0, M, steps, dt, stepper, save_every)
-    lo, i = 0, 0
-    while lo < steps:
-        k = lengths[i % len(lengths)]
-        sv._advance_block(model, basis, run, inc[lo:lo + k])
-        lo, i = lo + k, i + 1
-    return run
-
-
-def windowed_rows(model, basis, x0, inc, dt, stepper, save_every, lengths):
-    """The save rows a windowed run pops chunk by chunk, concatenated."""
-    steps, M, _ = inc.shape
-    run = sv.start_block(model, basis, x0, M, steps, dt, stepper, save_every,
-                         window=True)
+    run = sv.start_block(model, basis, x0, M, dt, stepper, save_every)
     rows, lo, i = [], 0, 0
     while lo < steps:
         k = lengths[i % len(lengths)]
@@ -302,7 +290,7 @@ def windowed_rows(model, basis, x0, inc, dt, stepper, save_every, lengths):
         rows.append(run.pop_saves())
         lo, i = lo + k, i + 1
     assert run.saved is None
-    return np.concatenate(rows, axis=1)
+    return run, np.concatenate(rows, axis=1)
 
 
 def supported_steppers(name):
@@ -322,17 +310,15 @@ def test_chunked_advance_equals_one_chunk(name, stepper):
     gens = [sn.path_generator(3, pid) for pid in range(M)]
     inc = sn.sample_block(gens, steps, m.noise_modes(b), dt)
     x0 = 0.5 / (1.0 + np.arange(8)) ** 2
-    whole = chunked_run(m, b, x0, inc, dt, stepper, 4, [steps])
+    whole, whole_rows = chunked_run(m, b, x0, inc, dt, stepper, 4, [steps])
     for lengths in ([1], [7], [13, 2, 5]):
-        part = chunked_run(m, b, x0, inc, dt, stepper, 4, lengths)
+        # the run pops the same rows chunk by chunk, none from a chunk of
+        # 1 step between saves
+        part, rows = chunked_run(m, b, x0, inc, dt, stepper, 4, lengths)
         assert part.step == steps
-        assert np.array_equal(part.saved, whole.saved)
+        assert np.array_equal(rows, whole_rows)
         assert np.array_equal(part.c, whole.c)
         assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
-        # a windowed run pops the same rows chunk by chunk, none from a
-        # chunk of 1 step between saves
-        rows = windowed_rows(m, b, x0, inc, dt, stepper, 4, lengths)
-        assert np.array_equal(rows, whole.saved)
 
 
 def test_chunked_advance_partial_blowup():
@@ -343,21 +329,19 @@ def test_chunked_advance_partial_blowup():
     steps, M, dt = 350, 40, 1e-2
     inc = sn.sample_block([sn.path_generator(2, pid) for pid in range(M)],
                           steps, 1, dt)
-    whole = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, [steps])
+    whole, saved = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, [steps])
     blown = np.isfinite(whole.blow_t)
     assert 0 < blown.sum() < M
     for lengths in ([1], [64], [33, 90]):
-        part = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, lengths)
+        part, rows = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, lengths)
         assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
-        assert np.array_equal(part.saved, whole.saved, equal_nan=True)
+        assert np.array_equal(rows, saved, equal_nan=True)
         assert np.array_equal(part.alive, ~blown)
-    rows = windowed_rows(m, b, unit(8), inc, dt, "semi-implicit", 1, [33, 90])
-    assert np.array_equal(rows, whole.saved, equal_nan=True)
     # a dead row is NaN on the save grid from its blow-up time on
     i = int(np.flatnonzero(blown)[0])
     k = int(round(whole.blow_t[i] / dt))
-    assert np.all(np.isnan(whole.saved[i, k:]))
-    assert np.all(np.isfinite(whole.saved[i, :k]))
+    assert np.all(np.isnan(saved[i, k:]))
+    assert np.all(np.isfinite(saved[i, :k]))
 
 
 def test_finiteness_guard_adds_no_warning():
@@ -477,7 +461,7 @@ def test_prepared_step_matches_unprepared_reference(name, stepper, rows):
                           steps, m.noise_modes(b), dt)
     x0 = 0.5 / (1.0 + np.arange(8)) ** 2
     ref = reference_block(m, b, x0, inc, dt, stepper)
-    run = chunked_run(m, b, x0, inc, dt, stepper, 1, [5, 11])
+    run, rows = chunked_run(m, b, x0, inc, dt, stepper, 1, [5, 11])
     assert np.all(np.isfinite(ref))
-    assert np.array_equal(run.saved, ref)
+    assert np.array_equal(rows, ref)
     assert type(run.model) is type(m) and m._prepared is None
