@@ -23,7 +23,6 @@ H1_GRID_VALUES = 2 ** 20    # collocation values per H1 block: 8 MiB per tempora
 @dataclass
 class Violation:
     index: int
-    t: float
     margin: float
     detail: str = ""
     u: np.ndarray = None
@@ -43,7 +42,7 @@ class ConditionReport:
     passed: bool = True
 
 
-def _report(condition, margins, scales, ts, fitted, us=None, vs=None, detail=""):
+def _report(condition, margins, scales, fitted, us=None, vs=None, detail=""):
     margins = np.asarray(margins, float)
     scales = np.asarray(scales, float)
     # a non-finite margin (NaN from a NaN constant, or an overflow) is a
@@ -53,7 +52,7 @@ def _report(condition, margins, scales, ts, fitted, us=None, vs=None, detail="")
     viols = []
     for i in idx[:MAX_STORED_VIOLATIONS]:
         viols.append(Violation(
-            index=int(i), t=float(ts[i]), margin=float(margins[i]), detail=detail,
+            index=int(i), margin=float(margins[i]), detail=detail,
             u=None if us is None else np.array(us[i]),
             v=None if vs is None else np.array(vs[i])))
     return ConditionReport(
@@ -80,11 +79,6 @@ def _need_hypothesis(model):
         raise MissingHypothesisSpecError(
             f"model {getattr(model, 'name', model)!r} declares no hypothesis constants")
     return hyp
-
-
-def _times(n, seed):
-    rng = np.random.default_rng(np.random.Philox(key=(seed, 7)))
-    return rng.uniform(0.0, 1.0, n)
 
 
 def _rho_eta(form, vnorms, hnorms):
@@ -127,7 +121,6 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     us = sb.sample_coeffs(basis, n_samples, seed, scales)
     vs = sb.sample_coeffs(basis, n_samples, seed + 1, scales)
     xs = sb.sample_coeffs(basis, n_samples, seed + 2, scales)
-    ts = _times(n_samples, seed + 3)
 
     grid = np.linspace(-1.0, 1.0, 16 * (n_lambda - 1) + 1)
 
@@ -156,7 +149,7 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     margins = 0.6 - ratios
     scales = np.ones_like(margins)
     fitted = {"mean_ratio": float(np.mean(ratios)), "max_ratio": float(np.max(ratios))}
-    return _report("H1", margins, scales, ts, fitted, us, vs)
+    return _report("H1", margins, scales, fitted, us, vs)
 
 
 def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0):
@@ -174,7 +167,6 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
 
     us = sb.sample_coeffs(basis, n_samples, seed)
     vs = sb.sample_coeffs(basis, n_samples, seed + 1)
-    ts = _times(n_samples, seed + 2)
     w = us - vs
     wh2 = np.sum(w * w, axis=-1)
     au = model.apply_A(basis, 0.0, us)
@@ -191,7 +183,7 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
         margins = rhs - lhs
         scales = 1.0 + np.abs(lhs) + np.abs(rhs)
         fitted = {"max_K_used": float(np.max(K))}
-        return _report("H2prime", margins, scales, ts, fitted, us, vs)
+        return _report("H2prime", margins, scales, fitted, us, vs)
 
     bdiff = model.b_hs_diff_sq(basis, 0.0, us, vs)
     lhs = 2.0 * pair + bdiff
@@ -202,13 +194,12 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
     scales = 1.0 + np.abs(lhs) + np.abs(rhs)
     worst_f = np.max((lhs - (rho + eta) * wh2) / np.maximum(wh2, 1e-300))
     fitted = {"fitted_f": float(worst_f)}
-    report = _report(variant, margins, scales, ts, fitted, us, vs)
+    report = _report(variant, margins, scales, fitted, us, vs)
 
     # side conditions on the declared rho, eta
     alpha = model.alpha
     v_all = np.concatenate([vu, vv])
     h_all = np.concatenate([hu, hv])
-    t_all = np.concatenate([ts, ts])
     rho_all = np.abs(_rho_eta(hyp.rho_form, v_all, h_all))
     eta_all = np.abs(_rho_eta(hyp.eta_form, v_all, h_all))
     if variant == "H2":
@@ -216,7 +207,7 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
         side_rhs = hyp.mono_C * (1.0 + v_all ** alpha) * (1.0 + h_all ** hyp.gamma)
         side = _report("H2", side_rhs - side_lhs,
                        1.0 + np.abs(side_lhs) + np.abs(side_rhs),
-                       t_all, {"side_min_margin": float(np.min(side_rhs - side_lhs))},
+                       {"side_min_margin": float(np.min(side_rhs - side_lhs))},
                        detail="rho/eta growth bound")
     else:
         if not hyp.theta < alpha:
@@ -227,8 +218,7 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
         eta_rhs = C * (1.0 + h_all ** (2.0 + hyp.beta)) + C * v_all ** alpha * (1.0 + h_all ** hyp.beta)
         m = np.concatenate([rho_rhs - rho_all, eta_rhs - eta_all])
         s = 1.0 + np.concatenate([rho_all + rho_rhs, eta_all + eta_rhs])
-        side = _report("H2star", m, s, np.concatenate([t_all, t_all]),
-                       {"side_min_margin": float(np.min(m))},
+        side = _report("H2star", m, s, {"side_min_margin": float(np.min(m))},
                        detail="starred rho/eta growth bound")
     return _merge(report, side)
 
@@ -242,7 +232,6 @@ def check_coercivity(model, basis, n_samples=1000, seed=0):
     hyp = _need_hypothesis(model)
     variant = "H3star" if hyp.part2 else "H3"
     us = sb.sample_coeffs(basis, n_samples, seed)
-    ts = _times(n_samples, seed + 1)
     h2 = np.sum(us * us, axis=-1)
     vn = sb.v_norm(basis, model, us)
     pair = np.einsum("sk,sk->s", model.apply_A(basis, 0.0, us), us)
@@ -258,7 +247,7 @@ def check_coercivity(model, basis, n_samples=1000, seed=0):
     ok = va > 1e-12
     fitted_c = float(np.min((hyp.f_const * (1.0 + h2[ok]) - lhs[ok]) / va[ok]))
     fitted = {"fitted_c": fitted_c, "declared_c": float(coef)}
-    return _report(variant, margins, scales, ts, fitted, us)
+    return _report(variant, margins, scales, fitted, us)
 
 
 def check_growth(model, basis, n_samples=1000, seed=0):
@@ -271,7 +260,6 @@ def check_growth(model, basis, n_samples=1000, seed=0):
     hyp = _need_hypothesis(model)
     variant = "H4star" if hyp.part2 else "H4"
     us = sb.sample_coeffs(basis, n_samples, seed)
-    ts = _times(n_samples, seed + 1)
     hn = sb.h_norm(basis, us)
     vn = sb.v_norm(basis, model, us)
     a = model.apply_A(basis, 0.0, us)
@@ -289,7 +277,7 @@ def check_growth(model, basis, n_samples=1000, seed=0):
     ok = va > 1e-12
     fitted_C = float(np.max(np.maximum(lhs[ok] / va[ok] - hyp.f_const / va[ok], 0.0)))
     fitted = {"fitted_C": fitted_C, "declared_C": float(hyp.growth_C)}
-    return _report(variant, margins, scales, ts, fitted, us)
+    return _report(variant, margins, scales, fitted, us)
 
 
 def check_noise(model, basis, n_samples=1000, seed=0):
@@ -300,7 +288,6 @@ def check_noise(model, basis, n_samples=1000, seed=0):
     hyp = _need_hypothesis(model)
     variant = "H5star" if hyp.part2 else "H5"
     us = sb.sample_coeffs(basis, n_samples, seed)
-    ts = _times(n_samples, seed + 1)
     h2 = np.sum(us * us, axis=-1)
     vn = sb.v_norm(basis, model, us)
     bsq = model.b_hs_norm_sq(basis, 0.0, us) + np.zeros_like(h2)
@@ -316,7 +303,7 @@ def check_noise(model, basis, n_samples=1000, seed=0):
         fitted["fitted_L_B"] = float(np.max(np.maximum(
             (bsq[ok] - hyp.g_const * (1.0 + h2[ok])) / va[ok], 0.0)))
         fitted["declared_L_B"] = float(hyp.L_B)
-    report = _report(variant, margins, scales, ts, fitted, us)
+    report = _report(variant, margins, scales, fitted, us)
 
     if variant == "H5":
         # H-continuity: B along H-converging sequences u_j -> u
@@ -327,7 +314,7 @@ def check_noise(model, basis, n_samples=1000, seed=0):
         dJ = np.sqrt(np.maximum(model.b_hs_diff_sq(
             basis, 0.0, base + dirs * 2.0 ** -8, base), 0.0))
         ratio = np.where(d0 > 1e-12, dJ / np.maximum(d0, 1e-300), 0.0)
-        cont = _report("H5", 0.25 - ratio, np.ones(n_seq), ts[:n_seq],
+        cont = _report("H5", 0.25 - ratio, np.ones(n_seq),
                        {"continuity_max_ratio": float(np.max(ratio))},
                        detail="H-continuity decay")
         report = _merge(report, cont)
@@ -345,17 +332,17 @@ def check_chi_threshold(model_or_spec):
     chi = hyp.chi(alpha)
     threshold = 2.0 * hyp.L_A / chi
     margin = threshold - hyp.L_B
-    p_max = hyp.admissible_p_max(alpha)
+    p_max = hyp.admissible_p_max()
     fitted = {"chi": float(chi), "threshold": float(threshold),
               "L_A": float(hyp.L_A), "L_B": float(hyp.L_B),
               "p_min": 2.0, "p_max": float(p_max)}
     scale = 1.0 + abs(hyp.L_B) + abs(threshold)
-    rep = _report("chi-threshold", [margin], [scale], [0.0], fitted)
+    rep = _report("chi-threshold", [margin], [scale], fitted)
     if p_max <= 2.0:
         rep.passed = False
         if rep.n_violations == 0:
             rep.n_violations = 1
-            rep.violations.append(Violation(0, 0.0, float(p_max - 2.0),
+            rep.violations.append(Violation(0, float(p_max - 2.0),
                                             detail="admissible p-range empty"))
     return rep
 

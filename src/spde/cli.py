@@ -21,7 +21,7 @@ from . import diagnostics as dg
 from . import noise as sn
 from . import solver as sv
 from .config import COMMANDS, initial_coefficients, load_config
-from .errors import ConfigError, InadmissiblePError, NonfiniteStateError, SpdeError
+from .errors import ConfigError, NonfiniteStateError, SpdeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,9 +174,6 @@ def main(argv=None):
     try:
         cfg = load_config(ns.config, flags)
         return run(cfg)
-    except (ConfigError, InadmissiblePError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except NonfiniteStateError as e:
         print(f"blow-up: {e}", file=sys.stderr)
         return EXIT_BLOWUP

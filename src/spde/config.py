@@ -203,6 +203,8 @@ def load_config(path=None, flags=None):
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
     run["paths"] = _integer(run["paths"], "run.paths")
     run["seed"] = _integer(run["seed"], "run.seed", minimum=0)
+    if run["seed"] >= 2 ** 64:      # the uint64 half of a path's Philox key
+        raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
     if run.get("threads") is not None:
         run["threads"] = _integer(run["threads"], "run.threads", minimum=0)
     if run.get("stepper") is not None and run["stepper"] not in STEPPERS:

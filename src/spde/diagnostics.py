@@ -5,11 +5,12 @@ DiagnosticTable: keyed Monte Carlo estimates with standard errors and,
 where a rate is asserted, a log-log fit.  Each runs its paths in blocks
 through solver.run_blocks and reduces a block to per-path statistics
 before it lets the block go, so memory is bounded in the path count M.
-Every run is windowed: each chunk's save rows are folded into per-path
-scalars as the chunk ends, as running maxima (moments, continuity,
-uniqueness) or as per-row values integrated at the block's end
-(moments, converge, equicontinuity), so memory does not grow with the
-number of saves either.
+Every run is windowed: solver._advance_block returns each chunk's save
+rows, and the experiment folds them into per-path scalars before the
+next chunk, as running maxima (moments, continuity, uniqueness) or as
+per-row values integrated at the block's end (moments, converge,
+equicontinuity), so memory does not grow with the number of saves
+either.
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -148,33 +149,29 @@ def check_moment_exponent(model, p):
     """Reject a moment exponent p outside [2, p_max); p_max is finite only
     for Part II models, whose noise bounds the admissible moments."""
     hyp = getattr(model, "hypothesis", None)
-    p_max = hyp.admissible_p_max(model.alpha) if hyp is not None and hyp.part2 \
-        else math.inf
+    p_max = hyp.admissible_p_max() if hyp is not None and hyp.part2 else math.inf
     if not 2.0 <= p < p_max:
         raise InadmissiblePError(
             f"p={p} outside admissible range [2, {p_max:.6g}) for {model.name}")
 
 
-def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt=None,
+def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt,
                   stepper=None, threads=None):
     """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}
     over M paths from x0, one windowed run per block (solver.run_blocks):
     each chunk's save rows update a running sup of ||X||_H and add their
     ||X||_V^alpha, one save row at a time, to the per-path integrand."""
     check_moment_exponent(model, p)
-    save_dt = save_dt if save_dt is not None else dt
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
-    c0 = sv.project_initial(basis, x0)
 
     def start(lo, hi):
-        run = sv.start_block(model, basis, c0, hi - lo, dt, stepper, save_every)
+        run = sv.start_block(model, basis, x0, hi - lo, dt, stepper, save_every)
         # (run, running sup of ||X||_H, the (k, rows) ||X||_V^alpha of each chunk)
         return run, np.full(hi - lo, -np.inf), []
 
     def advance(state, chunk):
         run, top, parts = state
-        sv._advance_block(model, basis, run, chunk)
-        rows = run.pop_saves()
+        rows = sv._advance_block(model, basis, run, chunk)
         np.maximum(top, _row_max(np.linalg.norm(rows, axis=-1)), out=top)
         vals = [sb.v_norm(basis, model, rows[:, i]) for i in range(rows.shape[1])]
         if vals:
@@ -212,7 +209,7 @@ def delta_shifts(delta_list, save_dt, t_end):
 
 
 def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end, dt,
-                             save_dt=None, stepper=None, threads=None):
+                             save_dt, stepper=None, threads=None):
     """Time-shift statistic E int_0^{T-delta} ||X(t+delta) - X(t)||_H^alpha dt
     over M paths from x0, one windowed run per block (solver.run_blocks).
 
@@ -221,21 +218,19 @@ def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end
     per-row values of each shift.  A survivor whose integral is not finite
     at some delta (its states near overflow) counts as blown and leaves
     every row (_survivor_rows)."""
-    save_dt = save_dt if save_dt is not None else dt
     shifts = delta_shifts(delta_list, save_dt, t_end)
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
-    c0 = sv.project_initial(basis, x0)
     depth = max(shifts)
 
     def start(lo, hi):
-        run = sv.start_block(model, basis, c0, hi - lo, dt, stepper, save_every)
+        run = sv.start_block(model, basis, x0, hi - lo, dt, stepper, save_every)
         # (run, tail of the latest save rows, per-shift lists of (k, rows) values)
         return [run, np.empty((hi - lo, 0, basis.n_modes)), [[] for _ in shifts]]
 
     def advance(state, chunk):
         run, tail, parts = state
-        sv._advance_block(model, basis, run, chunk)
-        rows = np.concatenate([tail, run.pop_saves()], axis=1)
+        rows = np.concatenate([tail, sv._advance_block(model, basis, run, chunk)],
+                              axis=1)
         for out, k in zip(parts, shifts):
             # the pairs (i - k, i) whose later row i came in this chunk
             first = max(tail.shape[1], k)
@@ -254,7 +249,7 @@ def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end
                   alpha=alpha)
 
 
-def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
+def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
                          alpha=None, stepper=None, m_modes=None, threads=None):
     """Cauchy differences between adjacent Galerkin levels under common noise.
 
@@ -269,25 +264,21 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
     (solver.run_blocks); the table does not depend on the count.
     """
     alpha = alpha if alpha is not None else model.alpha
-    save_dt = save_dt if save_dt is not None else dt
     levels = sorted(n_levels)
     bases = {n: model.make_basis(n) for n in levels}
     m_fine = m_modes if m_modes is not None else max(
         model.noise_modes(bases[n]) for n in levels)
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
-    x0 = np.asarray(x0, float)
 
     def start(lo, hi):
-        runs = {n: sv.start_block(model, bases[n], sv.project_initial(bases[n], x0),
-                                  hi - lo, dt, stepper, save_every) for n in levels}
+        runs = {n: sv.start_block(model, bases[n], x0, hi - lo, dt, stepper, save_every)
+                for n in levels}
         # per level pair, the (k, rows) values of each chunk's save rows
         return runs, [[] for _ in levels[1:]]
 
     def advance(state, chunk):
         runs, parts = state
-        for n in levels:
-            sv._advance_block(model, bases[n], runs[n], chunk)
-        rows = {n: runs[n].pop_saves() for n in levels}
+        rows = {n: sv._advance_block(model, bases[n], runs[n], chunk) for n in levels}
         for out, a, bn in zip(parts, levels[:-1], levels[1:]):
             diff = rows[bn].copy()
             diff[:, :, :a] -= rows[a]
@@ -305,11 +296,9 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt=None,
 
 
 def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
-                            M, seed, t_end, dt, save_dt=None, stepper=None,
-                            threads=None):
+                            M, seed, t_end, dt, save_dt, stepper=None, threads=None):
     """E sup_t ||X(t, x + eps d) - X(t, x)||_H^p against eps, common noise.
     Blocks of paths run on `threads` workers (solver.run_blocks)."""
-    save_dt = save_dt if save_dt is not None else dt
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
     m = model.noise_modes(basis)
     d = sv.project_initial(basis, direction)
@@ -325,11 +314,9 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
 
     def advance(state, chunk):
         (base, *perts), tops = state
-        sv._advance_block(model, basis, base, chunk)
-        base_rows = base.pop_saves()
+        base_rows = sv._advance_block(model, basis, base, chunk)
         for top, run in zip(tops, perts):
-            sv._advance_block(model, basis, run, chunk)
-            diff = run.pop_saves() - base_rows
+            diff = sv._advance_block(model, basis, run, chunk) - base_rows
             np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
 
     def finish(lo, hi, state):
@@ -360,7 +347,6 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
     steps_fine = sv.ratio_as_int(t_end, fine_dt, "t_end/fine_dt")
     save_dt = save_dt if save_dt is not None else dts[0]
     m = model.noise_modes(basis)
-    x0 = sv.project_initial(basis, x0)
 
     # the two runs compared at each dt level: (step, coarsening factor of
     # the fine path, stepper, save_every)
@@ -389,9 +375,9 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
         runs, tops = state
         coarse = sn.coarsen_chunk(chunk, factors)
         for d, pair in pairs.items():
-            for run, (_, f, _, _) in zip(runs[d], pair):
-                sv._advance_block(model, basis, run, coarse[f])
-            diff = runs[d][0].pop_saves() - runs[d][1].pop_saves()
+            first, second = (sv._advance_block(model, basis, run, coarse[f])
+                             for run, (_, f, _, _) in zip(runs[d], pair))
+            diff = first - second
             np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])
 
     def finish(lo, hi, state):

@@ -69,7 +69,7 @@ class HypothesisSpec:
         return max(1.0 + self.beta, 3.0 + self.lam - alpha,
                    3.0 + self.gamma + self.theta - alpha)
 
-    def admissible_p_max(self, alpha=None):
+    def admissible_p_max(self):
         """Supremum of admissible moment exponents, 1 + 2 L_A / L_B."""
         if self.L_B == 0.0:
             return math.inf

@@ -15,14 +15,17 @@ noise.stream_block) and the chunk's lifetime.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
 
-Every run is windowed: a BlockRun keeps only its latest chunk's save
-rows, which the caller pops (BlockRun.pop_saves) and folds into per-path
-scalars, so no block holds a save grid and memory does not grow with
-the number of saves.  `solve_path` (the simulate command's one path)
-and `solve_ensemble` (the tests' reference ensemble) join the popped
-windows into the whole (S+1, n) or (M, S+1, n) grid.
+Every run is windowed: `_advance_block` returns the save rows of the
+chunk it stepped through, and a BlockRun keeps only what the next chunk
+needs (the state, the blow-up times and the step count).  The callers
+fold each chunk's rows into per-path scalars, so no block holds a save
+grid and memory does not grow with the number of saves.  `solve_path`
+(the simulate command's one path) and `solve_ensemble` (the tests'
+reference ensemble) join the returned rows into the whole (S+1, n) or
+(M, S+1, n) grid.
 
-`start_block` prepares a block once.  Its BlockRun holds the stepper's
+`start_block` prepares a block once: it projects x0 onto the basis (P_n)
+and repeats it over the block's M rows.  Its BlockRun holds the stepper's
 diagonal L and the denominator 1 - dt*L broadcast to the block's (M, n)
 shape, and a prepared copy of the model (Model.prepare) whose per-basis
 constants are broadcast the same way, so no step recomputes them or
@@ -128,43 +131,24 @@ class BlockRun:
 
     model: object              # the model as prepared for the block's basis and M
     c: np.ndarray              # (M, n) current coefficients
-    saved: np.ndarray          # (M, rows, n) latest chunk's save rows, NaN past blow-up
     blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
-    alive: np.ndarray          # (M,) bool
     dt: float
     save_every: int
     L: np.ndarray = None       # (M, n) diagonal linear part when semi-implicit
     denom: np.ndarray = None   # (M, n) 1 - dt*L
     step: int = 0              # global index of the next step
-    row0: int = 0              # save-grid index of saved[:, 0]
-
-    def open_window(self, k):
-        """Make room for the save rows of the next k steps alone; the
-        first window also holds the initial row."""
-        self.row0 = 0 if self.step == 0 else self.step // self.save_every + 1
-        last = (self.step + k) // self.save_every
-        self.saved = np.empty((len(self.c), last - self.row0 + 1, self.c.shape[-1]))
-        if self.step == 0:
-            self.saved[:, 0] = self.c
-
-    def pop_saves(self):
-        """The save rows of the run's latest chunk, released from the run
-        so that no more than one chunk's rows outlive it."""
-        rows, self.saved = self.saved, None
-        return rows
 
     def retire_nonfinite(self, c, t):
         """Per-row blow-up bookkeeping, run only when a step left a
         non-finite entry: stamp rows that just blew up with time t and
         zero every dead row."""
-        newly = self.alive & ~np.all(np.isfinite(c), axis=-1)
+        newly = np.isnan(self.blow_t) & ~np.all(np.isfinite(c), axis=-1)
         self.blow_t[newly] = t
-        self.alive &= ~newly
-        return np.where(self.alive[:, None], c, 0.0)
+        return np.where(np.isnan(self.blow_t)[:, None], c, 0.0)
 
 
 def start_block(model, basis, x0, M, dt, stepper, save_every):
-    """A BlockRun of M copies of the coefficient vector x0 at t = 0.  The
+    """A BlockRun of M copies of P_n x0 (project_initial) at t = 0.  The
     run holds the model prepared for `basis` and M rows, and the
     semi-implicit L and 1 - dt*L broadcast to (M, n).  Every run starts
     here, so this is where a stepper of None becomes the model's default
@@ -180,23 +164,25 @@ def start_block(model, basis, x0, M, dt, stepper, save_every):
                 f"{model.name} declares no diagonal linear part")
         L = np.repeat(np.asarray(L, float)[None, :], M, axis=0)
         denom = 1.0 - dt * L
-    c = np.repeat(np.asarray(x0, float)[None, :], M, axis=0)
-    return BlockRun(model=model.prepare(basis, M), c=c, saved=None,
-                    blow_t=np.full(M, np.nan), alive=np.ones(M, bool), dt=dt,
-                    save_every=save_every, L=L, denom=denom)
+    c = np.repeat(project_initial(basis, x0)[None, :], M, axis=0)
+    return BlockRun(model=model.prepare(basis, M), c=c, blow_t=np.full(M, np.nan),
+                    dt=dt, save_every=save_every, L=L, denom=denom)
 
 
 def _advance_block(model, basis, run, increments):
     """Advance `run` in place through one time-major chunk of increments
-    (k, M, m).  `model` and `basis` are those the run was started with;
-    the steps call the run's prepared copy of the model.  The chunk's
-    save rows replace run.saved (BlockRun.open_window).  Rows that turn
-    non-finite get their blow-up time and are NaN on the save grid from
-    then on."""
+    (k, M, m) and return the chunk's save rows (M, rows, n), led by the
+    initial row when the chunk is the run's first.  `model` and `basis`
+    are those the run was started with; the steps call the run's
+    prepared copy of the model.  Rows that turn non-finite get their
+    blow-up time and are NaN on the save grid from then on."""
     increments = fit_noise_columns(increments, model.noise_modes(basis))
-    run.open_window(len(increments))
     model, c, L, denom = run.model, run.c, run.L, run.denom
     dt, save_every = run.dt, run.save_every
+    r = int(run.step == 0)       # the next save row; row 0 of a first chunk is c
+    last = (run.step + len(increments)) // save_every
+    saves = np.empty((len(c), last - run.step // save_every + r, c.shape[-1]))
+    saves[:, :r] = c[:, None]
     # a row on its way to blowing up overflows before it is retired
     with np.errstate(over="ignore", invalid="ignore"):
         for j, dw in enumerate(increments, start=run.step):
@@ -211,10 +197,11 @@ def _advance_block(model, basis, run, increments):
             if not np.isfinite(c).all():
                 c = run.retire_nonfinite(c, (j + 1) * dt)
             if (j + 1) % save_every == 0:
-                run.saved[:, (j + 1) // save_every - run.row0] = \
-                    np.where(run.alive[:, None], c, np.nan)
+                saves[:, r] = np.where(np.isnan(run.blow_t)[:, None], c, np.nan)
+                r += 1
     run.c = c
     run.step += len(increments)
+    return saves
 
 
 def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1,
@@ -250,17 +237,13 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
     return [do_block(span) for span in spans]
 
 
-def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=None):
+def solve_path(model, basis, x0, noise_path, stepper, t_end, save_dt):
     """Integrate one path driven by the given NoisePath.
 
     The initial value is projected onto the basis (coefficients padded or
     truncated to n_modes).  noise_path.dt_fine is the solver step; it must
     divide save_dt, which must divide t_end.
     """
-    if t_end is None:
-        t_end = noise_path.t_end
-    if save_dt is None:
-        save_dt = noise_path.dt_fine
     dt = noise_path.dt_fine
     steps, save_every = save_grid(t_end, dt, save_dt)
     if noise_path.n_steps < steps:
@@ -270,15 +253,14 @@ def solve_path(model, basis, x0, noise_path, stepper=None, t_end=None, save_dt=N
     if noise_path.m_modes < m_need:
         raise ConfigError(
             f"noise path carries {noise_path.m_modes} modes, model uses {m_need}")
-    run = start_block(model, basis, project_initial(basis, x0), 1, dt, stepper,
-                      save_every)
-    _advance_block(model, basis, run, noise_path.increments[:steps, None, :])
+    run = start_block(model, basis, x0, 1, dt, stepper, save_every)
+    states = _advance_block(model, basis, run, noise_path.increments[:steps, None, :])
     if np.isfinite(run.blow_t[0]):
         raise NonfiniteStateError(
             f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
             time=float(run.blow_t[0]), path_id=noise_path.path_id)
     return Trajectory(times=save_dt * np.arange(steps // save_every + 1),
-                      states=run.pop_saves()[0])
+                      states=states[0])
 
 
 def project_initial(basis, x0):
@@ -292,24 +274,21 @@ def project_initial(basis, x0):
     return out
 
 
-def solve_ensemble(model, basis, x0, M, seed, stepper=None, t_end=1.0, dt=1e-3,
-                   save_dt=None, threads=None):
+def solve_ensemble(model, basis, x0, M, seed, t_end, dt, save_dt, stepper=None,
+                   threads=None):
     """M independent paths, path_id = 0..M-1, from the initial value x0,
     reproducible for a fixed M, as one (M, S+1, n) TrajectoryEnsemble of
-    every block's popped windows.  The run goes on past a blow-up: a
+    every block's returned save rows.  The run goes on past a blow-up: a
     path is NaN from then on, with its blow-up time in blow_t."""
-    save_dt = save_dt if save_dt is not None else dt
     steps, save_every = save_grid(t_end, dt, save_dt)
-    c0 = project_initial(basis, x0)
 
     def advance(state, chunk):
         run, windows = state
-        _advance_block(model, basis, run, chunk)
-        windows.append(run.pop_saves())
+        windows.append(_advance_block(model, basis, run, chunk))
 
     states, blow_t = zip(*run_blocks(
         M, seed, model.noise_modes(basis), steps, dt,
-        lambda lo, hi: (start_block(model, basis, c0, hi - lo, dt, stepper,
+        lambda lo, hi: (start_block(model, basis, x0, hi - lo, dt, stepper,
                                     save_every), []),
         advance,
         lambda lo, hi, state: (np.concatenate(state[1], axis=1), state[0].blow_t),

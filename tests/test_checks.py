@@ -342,7 +342,7 @@ def test_hemicontinuity_peak_memory_is_bounded(n):
 def report_fields(rep):
     return (rep.n_samples, rep.n_violations, rep.min_margin, rep.median_margin,
             rep.mean_margin, rep.fitted_constants, rep.passed,
-            [(v.index, v.t, v.margin) for v in rep.violations])
+            [(v.index, v.margin) for v in rep.violations])
 
 
 @pytest.mark.parametrize("name", sorted(sm.MODELS))

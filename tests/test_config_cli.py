@@ -292,6 +292,18 @@ def test_config_seed_zero_and_integral_floats(tmp_path):
         load_config(None, flags={"command": "check", "model": "heat-ou", "seed": -1})
 
 
+@pytest.mark.parametrize("command", ["check", "moments"])
+def test_cli_seed_must_fit_64_bits(tmp_path, capsys, command):
+    # a path's Philox key holds the seed as a uint64: 2**64 - 1 is the
+    # largest seed that runs, and 2**64 is a usage error, not a traceback
+    args = [command, "--model", "p-laplacian", "--n-modes", "4", "--paths", "4",
+            "--t-end", "0.01"] + (["--n-samples", "20"] if command == "check" else [])
+    code = cli.main(args + ["--seed", str(2 ** 64), "--out", str(tmp_path / "big")])
+    assert_usage_error(capsys, code, "error: run.seed must be below 2**64")
+    assert cli.main(args + ["--seed", str(2 ** 64 - 1),
+                            "--out", str(tmp_path / "max")]) == cli.EXIT_OK
+
+
 def test_cli_rejects_unknown_probe_mode(tmp_path, capsys):
     path = write_cfg(tmp_path, {"command": "uniqueness", "model": {"name": "heat-ou"},
                                 "basis": {"n_modes": 4},

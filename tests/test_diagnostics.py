@@ -213,7 +213,7 @@ def test_all_blown_ensemble_raises_with_count():
     # blow-up time
     m = QuadraticOU(1.0)
     b = m.make_basis(4)
-    kw = dict(M=3, seed=2, t_end=1.0, dt=1e-2)
+    kw = dict(M=3, seed=2, t_end=1.0, dt=1e-2, save_dt=1e-2)
     first = np.min(sv.solve_ensemble(m, b, 10.0 * unit(4), **kw).blow_t)
     with pytest.raises(NonfiniteStateError, match="all 3 paths blew up") as ei:
         dg.moment_report(m, b, 10.0 * unit(4), p=2, alpha=2, **kw)
@@ -318,7 +318,8 @@ def test_initial_data_continuity_keeps_running_maxima():
     try:
         tab = dg.initial_data_continuity(m, b, unit(8), unit(8),
                                          [0.1 / 2 ** j for j in range(5)], 2.0,
-                                         M=M, seed=1, t_end=steps * 1e-3, dt=1e-3)
+                                         M=M, seed=1, t_end=steps * 1e-3, dt=1e-3,
+                                         save_dt=1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -431,22 +432,20 @@ def full_grid_cauchy_rows(model, x0, levels, alpha, M, seed, t_end, dt, save_dt)
     """galerkin_convergence's rows and blown count from every level's whole
     (M, S+1, n) save grid, by the whole-grid formula.  solve_ensemble
     draws each level's own noise, so the common-noise levels run here on
-    the same block driver, which joins each level's popped windows into
-    its whole grid."""
+    the same block driver, which joins each level's returned save rows
+    into its whole grid."""
     bases = {n: model.make_basis(n) for n in levels}
     m_fine = max(model.noise_modes(b) for b in bases.values())
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
 
     def start(lo, hi):
-        return {n: (sv.start_block(model, b, sv.project_initial(b, x0), hi - lo, dt,
-                                   None, save_every), [])
+        return {n: (sv.start_block(model, b, x0, hi - lo, dt, None, save_every), [])
                 for n, b in bases.items()}
 
     def advance(runs, chunk):
         for n, b in bases.items():
             run, windows = runs[n]
-            sv._advance_block(model, b, run, chunk)
-            windows.append(run.pop_saves())
+            windows.append(sv._advance_block(model, b, run, chunk))
 
     def finish(lo, hi, runs):
         grids = {n: np.concatenate(windows, axis=1) for n, (_, windows) in runs.items()}
@@ -573,7 +572,7 @@ def test_continuity_and_uniqueness_count_blowups():
     base_blown = np.count_nonzero(~np.isnan(ens.blow_t))
     assert base_blown > 0
     cont = dg.initial_data_continuity(m, b, np.zeros(4), unit(4), [0.1, 0.05], 2.0,
-                                      dt=1e-2, **kw)
+                                      dt=1e-2, save_dt=1e-2, **kw)
     # the dt = 0.02 level runs against dt / 2 = 1e-2, the ensemble's step
     uniq = dg.uniqueness_probe(m, b, np.zeros(4), dt_levels=[0.04, 0.02],
                                save_dt=0.04, **kw)
@@ -589,13 +588,13 @@ def test_galerkin_convergence_counts_blowups():
     # counted; the rows are those of the others, as for continuity
     m = QuadraticOU(1.0)
     tab = dg.galerkin_convergence(m, np.zeros(4), [4, 8], M=40, seed=2, t_end=1.0,
-                                  dt=1e-2)
+                                  dt=1e-2, save_dt=1e-2)
     n_blown = tab.extra["n_blown"]
     assert 0 < n_blown < 40
     for _, est, se, M in tab.rows:
         assert M == 40 - n_blown and np.isfinite(est) and np.isfinite(se)
     finite = dg.galerkin_convergence(sm.HeatOU(0.8), np.zeros(4), [4, 8], M=40,
-                                     seed=2, t_end=1.0, dt=1e-2)
+                                     seed=2, t_end=1.0, dt=1e-2, save_dt=1e-2)
     assert finite.extra["n_blown"] == 0 and finite.rows[0][3] == 40
 
 
@@ -608,14 +607,15 @@ def run_experiment(name, m, x0, **kw):
     b = m.make_basis(4)
     kw = dict(M=40, seed=2, t_end=1.0, **kw)
     if name == "moments":
-        return dg.moment_report(m, b, x0, 2.0, 2.0, dt=1e-2, **kw)
+        return dg.moment_report(m, b, x0, 2.0, 2.0, dt=1e-2, save_dt=1e-2, **kw)
     if name == "equicontinuity":
-        return dg.equicontinuity_statistic(m, b, x0, [0.02, 0.04], 2.0, dt=1e-2, **kw)
+        return dg.equicontinuity_statistic(m, b, x0, [0.02, 0.04], 2.0, dt=1e-2,
+                                           save_dt=1e-2, **kw)
     if name == "converge":
-        return dg.galerkin_convergence(m, x0, [4, 8], dt=1e-2, **kw)
+        return dg.galerkin_convergence(m, x0, [4, 8], dt=1e-2, save_dt=1e-2, **kw)
     if name == "continuity":
         return dg.initial_data_continuity(m, b, x0, unit(4), [0.1, 0.05], 2.0,
-                                          dt=1e-2, **kw)
+                                          dt=1e-2, save_dt=1e-2, **kw)
     return dg.uniqueness_probe(m, b, x0, dt_levels=[0.04, 0.02], save_dt=0.04, **kw)
 
 
@@ -633,7 +633,7 @@ def test_every_experiment_counts_blowups_one_way(name):
     if name in ("moments", "equicontinuity"):
         m = QuadraticOU(1.0)
         ens = sv.solve_ensemble(m, m.make_basis(4), np.zeros(4), M=40, seed=2,
-                                t_end=1.0, dt=1e-2)
+                                t_end=1.0, dt=1e-2, save_dt=1e-2)
         assert first == np.nanmin(ens.blow_t)
     with pytest.raises(NonfiniteStateError, match="all 40 paths blew up") as ei:
         run_experiment(name, QuadraticOU(1.0), 10.0 * unit(4))
@@ -669,7 +669,7 @@ def test_moment_report_counts_overflowing_survivors():
     # count as blown, and the rows are those of the other 23
     m = sm.HeatOU(sigma=50.0)
     b = m.make_basis(4)
-    kw = dict(M=40, seed=0, t_end=0.1, dt=1e-3)
+    kw = dict(M=40, seed=0, t_end=0.1, dt=1e-3, save_dt=1e-3)
     assert np.all(np.isnan(sv.solve_ensemble(m, b, unit(4), **kw).blow_t))
     tab = dg.moment_report(m, b, unit(4), 300.0, 2.0, **kw)
     assert tab.extra["n_blown"] == 17
@@ -680,7 +680,8 @@ def test_moment_report_counts_overflowing_survivors():
 def test_galerkin_convergence_all_blown_raises():
     m = sm.GradientNoiseHeat(nu=30.0)
     with pytest.raises(NonfiniteStateError, match="all 20 paths blew up") as ei:
-        dg.galerkin_convergence(m, unit(8), [4, 8], M=20, seed=2, t_end=5.12, dt=1e-2)
+        dg.galerkin_convergence(m, unit(8), [4, 8], M=20, seed=2, t_end=5.12, dt=1e-2,
+                                save_dt=1e-2)
     assert ei.value.time is not None
 
 
@@ -689,7 +690,8 @@ def test_continuity_and_uniqueness_all_blown_raise():
     b = m.make_basis(8)
     kw = dict(M=20, seed=2, t_end=5.12)
     with pytest.raises(NonfiniteStateError, match="all 20 paths blew up") as ei:
-        dg.initial_data_continuity(m, b, unit(8), unit(8), [0.1], 2.0, dt=1e-2, **kw)
+        dg.initial_data_continuity(m, b, unit(8), unit(8), [0.1], 2.0, dt=1e-2,
+                                   save_dt=1e-2, **kw)
     assert ei.value.time is not None
     with pytest.raises(NonfiniteStateError, match="all 20 paths blew up"):
         dg.uniqueness_probe(m, b, unit(8), dt_levels=[0.08, 0.04], save_dt=0.08, **kw)

@@ -168,9 +168,14 @@ def test_solve_path_validations():
 
 
 def test_initial_projection_pads_and_truncates():
-    b = sm.HeatOU(0.0).make_basis(4)
+    m = sm.HeatOU(0.0)
+    b = m.make_basis(4)
     assert np.array_equal(sv.project_initial(b, [1, 2]), [1, 2, 0, 0])
     assert np.array_equal(sv.project_initial(b, np.arange(6.0)), [0, 1, 2, 3])
+    # start_block applies P_n itself, to every row of the block
+    for x0, c in (([1, 2], [1, 2, 0, 0]), (np.arange(6.0), [0, 1, 2, 3])):
+        run = sv.start_block(m, b, x0, 3, 1e-3, None, 1)
+        assert np.array_equal(run.c, [c] * 3)
 
 
 def test_ensemble_m1_equals_solve_path():
@@ -280,16 +285,14 @@ def test_trajectory_csv_rows():
 def chunked_run(model, basis, x0, inc, dt, stepper, save_every, lengths):
     """Advance one block through `inc` (steps, M, m) cut into chunks of the
     given lengths (cycled); returns the finished BlockRun and the save
-    rows it popped chunk by chunk, joined into the (M, S+1, n) grid."""
+    rows returned chunk by chunk, joined into the (M, S+1, n) grid."""
     steps, M, _ = inc.shape
     run = sv.start_block(model, basis, x0, M, dt, stepper, save_every)
     rows, lo, i = [], 0, 0
     while lo < steps:
         k = lengths[i % len(lengths)]
-        sv._advance_block(model, basis, run, inc[lo:lo + k])
-        rows.append(run.pop_saves())
+        rows.append(sv._advance_block(model, basis, run, inc[lo:lo + k]))
         lo, i = lo + k, i + 1
-    assert run.saved is None
     return run, np.concatenate(rows, axis=1)
 
 
@@ -312,8 +315,8 @@ def test_chunked_advance_equals_one_chunk(name, stepper):
     x0 = 0.5 / (1.0 + np.arange(8)) ** 2
     whole, whole_rows = chunked_run(m, b, x0, inc, dt, stepper, 4, [steps])
     for lengths in ([1], [7], [13, 2, 5]):
-        # the run pops the same rows chunk by chunk, none from a chunk of
-        # 1 step between saves
+        # the run returns the same rows chunk by chunk, none from a chunk
+        # of 1 step between saves
         part, rows = chunked_run(m, b, x0, inc, dt, stepper, 4, lengths)
         assert part.step == steps
         assert np.array_equal(rows, whole_rows)
@@ -336,7 +339,6 @@ def test_chunked_advance_partial_blowup():
         part, rows = chunked_run(m, b, unit(8), inc, dt, "semi-implicit", 1, lengths)
         assert np.array_equal(part.blow_t, whole.blow_t, equal_nan=True)
         assert np.array_equal(rows, saved, equal_nan=True)
-        assert np.array_equal(part.alive, ~blown)
     # a dead row is NaN on the save grid from its blow-up time on
     i = int(np.flatnonzero(blown)[0])
     k = int(round(whole.blow_t[i] / dt))
