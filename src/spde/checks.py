@@ -17,7 +17,10 @@ from .errors import IncompleteSpecError, MissingHypothesisSpecError
 
 TOL = 1e-8
 MAX_STORED_VIOLATIONS = 16
-H1_GRID_VALUES = 2 ** 20    # collocation values per H1 block: 8 MiB per temporary
+# collocation values per H1 temporary: 2**14 float64 are 128 KiB, glibc
+# malloc's starting mmap threshold; 64 fewer leave room for its chunk header
+H1_GRID_VALUES = 2 ** 14 - 64
+H1_MIN_PART = 2 ** 11       # fewest coefficient values (rows x n_modes) per apply_A call
 
 
 @dataclass
@@ -96,13 +99,19 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     hold the same lambda values as separately built grids, so no point
     is evaluated twice.
 
-    Samples run in blocks of H1_GRID_VALUES // (fine grid * basis
-    grid_size) samples, at least one, so a block's collocation
-    temporaries hold about H1_GRID_VALUES values whatever n_modes is (67
-    samples at n = 16, 33 at n = 32).  Even a one-sample block is a
-    whole lambda line of at least 241 rows, where the batched transforms
-    round each row as in any larger block, so the report does not
-    depend on the block size.
+    Samples run in blocks sized so that every (rows, grid_size)
+    collocation temporary holds at most H1_GRID_VALUES values: under
+    glibc malloc's mmap threshold, each block reuses the heap the last
+    one freed instead of mapping and zero-filling fresh pages.  A block
+    holds as many whole lambda lines as fit (4 at n = 4, 2 at n = 8, 1
+    at n = 16); a line that does not fit (n = 32, or n = 16 with
+    n_lambda = 17) is cut into near-equal parts.  A block or part holds
+    at least H1_MIN_PART / n_modes rows, over budget if need be: smaller
+    products take other BLAS kernels in the quadrature pairing (below
+    about 1,200 coefficient values; one row is a GEMV) and round
+    differently.  From that size on each row rounds as in any larger
+    block, so the report does not depend on the block rule; only a last
+    block of fewer samples can hold fewer rows.
 
     The test is the ratio of the largest adjacent jumps across the last
     4x refinement (4x grid to fine grid): a continuous map shrinks it by
@@ -124,23 +133,28 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
 
     grid = np.linspace(-1.0, 1.0, 16 * (n_lambda - 1) + 1)
 
-    def g_values(lo, hi):
-        # states (block, L, n) -> g values (block, L); the large states and
-        # drift arrays are freed on return, before the next block is built
-        states = us[lo:hi, None, :] + grid[None, :, None] * vs[lo:hi, None, :]
-        a = model.apply_A(basis, 0.0, states.reshape(-1, n)).reshape(hi - lo, grid.size, n)
-        return np.einsum("slk,sk->sl", a, xs[lo:hi])
+    def g_values(lo, hi, a, b):
+        # samples lo:hi at lambda points a:b -> g values (hi - lo, b - a)
+        states = us[lo:hi, None, :] + grid[None, a:b, None] * vs[lo:hi, None, :]
+        out = model.apply_A(basis, 0.0, states.reshape(-1, n)).reshape(hi - lo, b - a, n)
+        return np.einsum("slk,sk->sl", out, xs[lo:hi])
 
     def max_jump(g):
         return np.max(np.abs(np.diff(g, axis=1)), axis=1)
 
-    block = max(1, H1_GRID_VALUES // (grid.size * basis.grid_size))
+    # rows per apply_A call within the budget: whole lines per block, or
+    # else parts of one line; a block or part has at least min_rows rows
+    rows = max(1, H1_GRID_VALUES // basis.grid_size)
+    min_rows = -(-H1_MIN_PART // n)
+    block = max(rows // grid.size, -(-min_rows // grid.size))
+    parts = max(1, min(-(-grid.size // rows), grid.size // min_rows))
+    cuts = [grid.size * i // parts for i in range(parts + 1)]
     j1 = np.empty(n_samples)
     j2 = np.empty(n_samples)
     gmax = np.empty(n_samples)
     for lo in range(0, n_samples, block):
         hi = min(lo + block, n_samples)
-        g = g_values(lo, hi)
+        g = np.concatenate([g_values(lo, hi, a, b) for a, b in zip(cuts, cuts[1:])], axis=1)
         gmax[lo:hi] = np.max(np.abs(g[:, ::16]), axis=1)
         j1[lo:hi] = max_jump(g[:, ::4])
         j2[lo:hi] = max_jump(g)

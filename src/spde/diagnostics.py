@@ -160,7 +160,7 @@ def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt,
     """Monte Carlo moments E sup_t ||X||_H^p and E (int ||X||_V^alpha dt)^{p/2}
     over M paths from x0, one windowed run per block (solver.run_blocks):
     each chunk's save rows update a running sup of ||X||_H and add their
-    ||X||_V^alpha, one save row at a time, to the per-path integrand."""
+    ||X||_V^alpha, one v_norm call per chunk, to the per-path integrand."""
     check_moment_exponent(model, p)
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
 
@@ -173,9 +173,7 @@ def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt,
         run, top, parts = state
         rows = sv._advance_block(model, basis, run, chunk)
         np.maximum(top, _row_max(np.linalg.norm(rows, axis=-1)), out=top)
-        vals = [sb.v_norm(basis, model, rows[:, i]) for i in range(rows.shape[1])]
-        if vals:
-            parts.append(np.stack(vals, axis=1) ** alpha)
+        parts.append(sb.v_norm(basis, model, rows) ** alpha)
 
     def finish(lo, hi, state):
         run, top, parts = state

@@ -308,25 +308,37 @@ class RowCountingHeat(sm.HeatOU):
         return super().apply_A(basis, t, coeffs)
 
 
-# apply_A calls, one per block: at n = 8 (grid_size 32) a block holds
-# 2**20 // (241 * 32) = 135 samples, or 2**20 // (257 * 32) = 127 samples
-# when n_lambda = 17
-H1_CALLS = {(300, 16): 3, (100, 17): 1, (512, 16): 4}
-
-
-@pytest.mark.parametrize("n_samples,n_lambda", [(300, 16), (100, 17), (512, 16)])
-def test_hemicontinuity_evaluates_each_lambda_once(n_samples, n_lambda):
+def count_h1_calls(n, n_samples, n_lambda):
+    """apply_A calls of one H1 audit at n, after checking that every lambda
+    point of every sample is evaluated exactly once."""
     model = RowCountingHeat()
-    basis = model.make_basis(8)
+    basis = model.make_basis(n)
     ck.check_hemicontinuity(model, basis, n_samples=n_samples, n_lambda=n_lambda)
     assert model.rows == (16 * (n_lambda - 1) + 1) * n_samples
-    assert model.calls == H1_CALLS[n_samples, n_lambda]
+    return model.calls
+
+
+# apply_A calls, one per block: at n = 8 (grid_size 32) a block holds
+# (2**14 - 64) // 32 = 510 rows, two lines of 241 or one of 257
+H1_CALLS = {(300, 16): 150, (100, 17): 100, (512, 16): 256}
+
+
+@pytest.mark.parametrize("n_samples,n_lambda", sorted(H1_CALLS))
+def test_hemicontinuity_evaluates_each_lambda_once(n_samples, n_lambda):
+    assert count_h1_calls(8, n_samples, n_lambda) == H1_CALLS[n_samples, n_lambda]
+
+
+def test_hemicontinuity_split_lines_evaluate_each_lambda_once():
+    # at n = 32 (grid_size 128) a block holds 127 rows, so each 241-row
+    # line is cut into parts of 120 and 121 rows
+    assert count_h1_calls(32, 100, 16) == 200
 
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_hemicontinuity_peak_memory_is_bounded(n):
-    # a 256-sample block traced 183 MB at n = 16 and 364 MB at n = 32; the
-    # grid-value budget keeps a block's temporaries near 8 MiB each
+    # with 8 MiB temporaries (2**20 values) H1 traced 32.1 MB at n = 16 and
+    # 31.0 MB at n = 32; with temporaries under malloc's mmap threshold it
+    # traces 0.71 and 0.92 MB, or up to 2.4 MB in a process's first audit
     model = sm.build_model("p-laplacian")
     basis = model.make_basis(n)
     tracemalloc.start()
@@ -336,7 +348,7 @@ def test_hemicontinuity_peak_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert rep.n_samples == 512
-    assert peak < 80e6
+    assert peak < 4e6
 
 
 def report_fields(rep):
@@ -347,14 +359,38 @@ def report_fields(rep):
 
 @pytest.mark.parametrize("name", sorted(sm.MODELS))
 def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
-    # a one-sample block is still a whole lambda line (241 rows), so every
-    # row rounds as in a full block and the report keeps its bits
+    # the default rule, the smallest parts it allows and one block holding
+    # every line give the same bits: a block or part keeps H1_MIN_PART
+    # coefficient values, enough that every row rounds as in a full block
     model = sm.build_model(name)
-    basis = model.make_basis(16)
-    ref = ck.check_hemicontinuity(model, basis, n_samples=150, seed=6)
-    monkeypatch.setattr(ck, "H1_GRID_VALUES", 1)
-    got = ck.check_hemicontinuity(model, basis, n_samples=150, seed=6)
-    assert report_fields(got) == report_fields(ref)
+    apply_A = model.apply_A
+    rows = []
+
+    def counting_apply_A(basis, t, coeffs):
+        rows.append(len(coeffs))
+        return apply_A(basis, t, coeffs)
+
+    monkeypatch.setattr(model, "apply_A", counting_apply_A)
+    budget = ck.H1_GRID_VALUES
+    for n in (4, 16, 32, 64):
+        basis = model.make_basis(n)
+        for n_lambda in (16, 17):
+            line = 16 * (n_lambda - 1) + 1
+            runs = []
+            for values in (budget, 1, 40 * line * basis.grid_size):
+                monkeypatch.setattr(ck, "H1_GRID_VALUES", values)
+                rows.clear()
+                rep = ck.check_hemicontinuity(model, basis, n_samples=40,
+                                              n_lambda=n_lambda, seed=6)
+                runs.append((report_fields(rep), list(rows)))
+            (ref, default), (small, smallest), (whole, one_block) = runs
+            assert small == ref and whole == ref
+            assert sum(default) == sum(smallest) == 40 * line
+            assert one_block == [40 * line]
+            # every call but a last block of fewer samples keeps the floor
+            assert min(smallest[:-1]) * n >= ck.H1_MIN_PART
+            if n >= 32:     # the split path runs
+                assert max(smallest) < line and max(default) < line
 
 
 def test_cahn_hilliard_phi_matches_power_form():

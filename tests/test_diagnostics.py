@@ -57,6 +57,24 @@ def test_moment_report_part2_admissibility():
         dg.moment_report(m1, b1, unit(8), p=3.0, **kw)   # boundary excluded
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 37, 300])
+@pytest.mark.parametrize("name", ["heat-ou", "p-laplacian"])
+def test_chunk_v_norm_matches_per_row_form(name, k):
+    # moment_report takes ||X||_V^alpha of a chunk's (M, k, n) save rows in
+    # one v_norm call; it keeps the bits of one call per save row, for the
+    # spectral (heat-ou) and gradient-seminorm (p-laplacian) V-norms
+    model = sm.build_model(name)
+    basis = model.make_basis(16)
+    for M in (sv.BLOCK, 44):
+        rows = sb.sample_coeffs(basis, M * k, 7).reshape(M, k, basis.n_modes)
+        rows[::5, k // 2:] = np.nan             # paths blown mid-chunk
+        got = sb.v_norm(basis, model, rows) ** model.alpha
+        vals = [sb.v_norm(basis, model, rows[:, i]) for i in range(k)]
+        want = np.stack(vals, axis=1) ** model.alpha if vals else np.empty((M, 0))
+        assert got.shape == want.shape == (M, k)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_moment_scaling_fit_then_check():
     # sub-homogeneity in the initial datum: the normalized moment
     # est / (1 + ||x||^p) fitted on the unscaled run bounds the 2x run up
