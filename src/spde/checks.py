@@ -17,8 +17,9 @@ from .errors import IncompleteSpecError, MissingHypothesisSpecError
 
 TOL = 1e-8
 MAX_STORED_VIOLATIONS = 16
-# collocation values per H1 temporary: 2**14 float64 are 128 KiB, glibc
-# malloc's starting mmap threshold; 64 fewer leave room for its chunk header
+# values per H1 temporary, collocation values and the buffer of g values
+# alike: 2**14 float64 are 128 KiB, glibc malloc's starting mmap
+# threshold; 64 fewer leave room for its chunk header
 H1_GRID_VALUES = 2 ** 14 - 64
 H1_MIN_PART = 2 ** 11       # fewest coefficient values (rows x n_modes) per apply_A call
 
@@ -99,19 +100,25 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     hold the same lambda values as separately built grids, so no point
     is evaluated twice.
 
-    Samples run in blocks sized so that every (rows, grid_size)
-    collocation temporary holds at most H1_GRID_VALUES values: under
-    glibc malloc's mmap threshold, each block reuses the heap the last
-    one freed instead of mapping and zero-filling fresh pages.  A block
-    holds as many whole lambda lines as fit (4 at n = 4, 2 at n = 8, 1
-    at n = 16); a line that does not fit (n = 32, or n = 16 with
-    n_lambda = 17) is cut into near-equal parts.  A block or part holds
-    at least H1_MIN_PART / n_modes rows, over budget if need be: smaller
-    products take other BLAS kernels in the quadrature pairing (below
-    about 1,200 coefficient values; one row is a GEMV) and round
-    differently.  From that size on each row rounds as in any larger
-    block, so the report does not depend on the block rule; only a last
-    block of fewer samples can hold fewer rows.
+    Blocks set the apply_A calls.  They are sized so that every
+    (rows, grid_size) collocation temporary holds at most H1_GRID_VALUES
+    values: under glibc malloc's mmap threshold, each block reuses the
+    heap the last one freed instead of mapping and zero-filling fresh
+    pages.  A block holds as many whole lambda lines as fit (4 at n = 4,
+    2 at n = 8, 1 at n = 16); a line that does not fit (n = 32, or n = 16
+    with n_lambda = 17) is cut into near-equal parts.  A block or part
+    holds at least H1_MIN_PART / n_modes rows, over budget if need be:
+    smaller products take other BLAS kernels in the quadrature pairing
+    (below about 1,200 coefficient values; one row is a GEMV) and round
+    differently.  A last block too short for that floor joins the block
+    before it.  So every row rounds as in any larger block, and the
+    report does not depend on the block rule.
+
+    Chunks of whole blocks set the reductions.  Each block writes its g
+    values into one reusable (chunk, lambda points) buffer, of at most
+    H1_GRID_VALUES values unless a single block needs more, and the
+    jumps are reduced once per full chunk, not once per block; max, abs
+    and diff act row by row, so the chunk size changes no bit.
 
     The test is the ratio of the largest adjacent jumps across the last
     4x refinement (4x grid to fine grid): a continuous map shrinks it by
@@ -149,15 +156,31 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     block = max(rows // grid.size, -(-min_rows // grid.size))
     parts = max(1, min(-(-grid.size // rows), grid.size // min_rows))
     cuts = [grid.size * i // parts for i in range(parts + 1)]
+    starts = list(range(0, n_samples, block))
+    if len(starts) > 1 and (n_samples - starts[-1]) * grid.size * n < H1_MIN_PART:
+        del starts[-1]      # fold a short last block into the one before
+    # g values of a chunk of whole blocks; a folded last block may need more
+    chunk = max(1, H1_GRID_VALUES // grid.size // block) * block
+    gbuf = np.empty((min(n_samples, max(chunk, n_samples - starts[-1])), grid.size))
     j1 = np.empty(n_samples)
     j2 = np.empty(n_samples)
     gmax = np.empty(n_samples)
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        g = np.concatenate([g_values(lo, hi, a, b) for a, b in zip(cuts, cuts[1:])], axis=1)
+
+    def reduce(lo, hi):
+        # jumps of the chunk's samples lo:hi, held in gbuf[:hi - lo]
+        g = gbuf[:hi - lo]
         gmax[lo:hi] = np.max(np.abs(g[:, ::16]), axis=1)
         j1[lo:hi] = max_jump(g[:, ::4])
         j2[lo:hi] = max_jump(g)
+
+    first = 0
+    for lo, hi in zip(starts, starts[1:] + [n_samples]):
+        if hi - first > len(gbuf):
+            reduce(first, lo)
+            first = lo
+        for a, b in zip(cuts, cuts[1:]):
+            gbuf[lo - first:hi - first, a:b] = g_values(lo, hi, a, b)
+    reduce(first, n_samples)
     floor = 1e-12 * (1.0 + gmax)
     ratios = np.where(j1 > floor, j2 / np.maximum(j1, floor), 0.0)
     margins = 0.6 - ratios

@@ -361,7 +361,8 @@ def report_fields(rep):
 def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
     # the default rule, the smallest parts it allows and one block holding
     # every line give the same bits: a block or part keeps H1_MIN_PART
-    # coefficient values, enough that every row rounds as in a full block
+    # coefficient values, enough that every row rounds as in a full block.
+    # 70 samples at n = 16 fill one chunk of 67 and part of a second
     model = sm.build_model(name)
     apply_A = model.apply_A
     rows = []
@@ -372,25 +373,44 @@ def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
 
     monkeypatch.setattr(model, "apply_A", counting_apply_A)
     budget = ck.H1_GRID_VALUES
-    for n in (4, 16, 32, 64):
+    cases = [(n, 40) for n in (4, 16, 32, 64)]
+    if name in ("heat-ou", "p-laplacian"):
+        cases.append((16, 70))
+    for n, n_samples in cases:
         basis = model.make_basis(n)
         for n_lambda in (16, 17):
             line = 16 * (n_lambda - 1) + 1
             runs = []
-            for values in (budget, 1, 40 * line * basis.grid_size):
+            for values in (budget, 1, n_samples * line * basis.grid_size):
                 monkeypatch.setattr(ck, "H1_GRID_VALUES", values)
                 rows.clear()
-                rep = ck.check_hemicontinuity(model, basis, n_samples=40,
+                rep = ck.check_hemicontinuity(model, basis, n_samples=n_samples,
                                               n_lambda=n_lambda, seed=6)
                 runs.append((report_fields(rep), list(rows)))
             (ref, default), (small, smallest), (whole, one_block) = runs
             assert small == ref and whole == ref
-            assert sum(default) == sum(smallest) == 40 * line
-            assert one_block == [40 * line]
-            # every call but a last block of fewer samples keeps the floor
-            assert min(smallest[:-1]) * n >= ck.H1_MIN_PART
+            assert sum(default) == sum(smallest) == n_samples * line
+            assert one_block == [n_samples * line]
+            # every call keeps the floor: a short last block is folded
+            assert min(smallest) * n >= ck.H1_MIN_PART
             if n >= 32:     # the split path runs
                 assert max(smallest) < line and max(default) < line
+
+
+@pytest.mark.parametrize("name", ["p-laplacian", "convection-diffusion", "cahn-hilliard"])
+def test_hemicontinuity_folds_a_short_last_block(monkeypatch, name):
+    # at n = 4 with grid_size 128 a block is 3 lines (2,892 coefficient
+    # values); 67 and 100 samples would leave a last block of one line
+    # (964 values), which rounds differently from the one-block report
+    model = sm.build_model(name)
+    basis = model.make_basis(4, 128)
+    budget = ck.H1_GRID_VALUES
+    for n_samples in (66, 67, 99, 100):
+        monkeypatch.setattr(ck, "H1_GRID_VALUES", budget)
+        ref = ck.check_hemicontinuity(model, basis, n_samples=n_samples, seed=4)
+        monkeypatch.setattr(ck, "H1_GRID_VALUES", 10 ** 9)
+        whole = ck.check_hemicontinuity(model, basis, n_samples=n_samples, seed=4)
+        assert report_fields(ref) == report_fields(whole)
 
 
 def test_cahn_hilliard_phi_matches_power_form():
