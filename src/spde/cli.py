@@ -53,7 +53,8 @@ def build_parser():
     ap.add_argument("--stepper", choices=sv.STEPPERS, help="time stepper")
     ap.add_argument("--n-samples", type=int, dest="n_samples",
                     help="audit sample count (check)")
-    ap.add_argument("--threads", type=int, help="worker threads (0 = auto)")
+    ap.add_argument("--threads", type=int,
+                    help="block workers, each with one noise helper process (0 = auto)")
     ap.add_argument("--out", help="output directory")
     return ap
 

@@ -52,3 +52,7 @@ class InvalidDeltaError(SpdeError):
 
 class ConfigError(SpdeError):
     """Configuration file or flag error (usage)."""
+
+
+class NoiseHelperError(SpdeError):
+    """A noise helper process ended before drawing all of its chunks."""

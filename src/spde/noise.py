@@ -12,14 +12,34 @@ generator per path and yields the block's increments in time-major
 chunks (k, paths, m) of at most CHUNK_NORMALS normals; a path's stream
 drawn in pieces is the same stream, so the chunks concatenated along
 time equal sample_path(...).increments bit for bit.  The chunks of a
-block share one buffer, each overwriting the last.
+block share one buffer, `out`, each overwriting the last.
+
+The block driver draws nothing itself: `start_helpers` forks one helper
+process per block worker.  A helper keys the generators of its blocks
+and draws their raw normals path-major, with standard_normal(out=), into
+a two-slot ring: a memory file that the helper maps and the parent never
+maps.  One pipe says "slot ready", a second "slot free", so the helper
+runs up to two chunks ahead of the step loop.  `stream_block` then runs
+`sample_block` on per-path readers, whose standard_normal(shape) returns
+the path's slice of the ready slot, read with os.preadv into a staging
+buffer of one slice.  The sqrt(dt) scaling, the time-major layout and
+every bit are those of the generators drawn in process.  A chunk lives
+in a ring slot, resident in the helper, until the parent has copied it
+into `out`, so the parent holds one chunk and one slice of noise.  A
+helper exits through os._exit: after its last chunk, on end of file of
+the "free" pipe when the parent stops early or dies, or on an error,
+which it writes to "ready".  `stop_helpers` reaps it.
 """
 
+import math
+import mmap
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleFactorError, InvalidDimensionError
+from .errors import IndivisibleFactorError, InvalidDimensionError, NoiseHelperError
 
 CHUNK_NORMALS = 2 ** 19     # normals per streamed chunk: 4 MiB of float64
 
@@ -94,22 +114,183 @@ def chunk_steps(paths, m_modes, multiple=1):
     return multiple * max(1, CHUNK_NORMALS // per_unit)
 
 
-def stream_block(m_modes, n_steps, dt_fine, seed, path_ids, multiple=1):
+def _steps_per_chunk(paths, m_modes, n_steps, multiple):
+    return min(n_steps, chunk_steps(paths, m_modes, multiple))
+
+
+def stream_block(m_modes, n_steps, dt_fine, seed, path_ids, multiple=1, helper=None):
     """Yield the increments of paths `path_ids` in time-major chunks
     (k, paths, m_modes) that cover n_steps in order.  Every chunk but the
     last has chunk_steps(...) steps; all are multiples of `multiple` when
-    it divides n_steps.
+    it divides n_steps.  With a `helper` (start_helpers) whose next block
+    this is, the normals come from its ring; without one they are drawn
+    here from one generator per path.  The bits are the same.
 
     Every chunk is a view of one buffer that the next chunk overwrites:
     a consumer uses a chunk before asking for the next and keeps no
     reference to it past its loop, so the block holds one chunk at a time.
     The one consumer is solver.run_blocks, which keeps that rule for
     every ensemble experiment."""
-    generators = [path_generator(seed, pid) for pid in path_ids]
-    k = min(n_steps, chunk_steps(len(generators), m_modes, multiple))
-    buf = np.empty((k, len(generators), m_modes))
+    paths = len(path_ids)
+    k = _steps_per_chunk(paths, m_modes, n_steps, multiple)
+    draws = (helper.readers(paths) if helper is not None
+             else [path_generator(seed, pid) for pid in path_ids])
+    buf = np.empty((k, paths, m_modes))
     for lo in range(0, n_steps, k):
-        yield sample_block(generators, min(k, n_steps - lo), m_modes, dt_fine, buf)
+        yield sample_block(draws, min(k, n_steps - lo), m_modes, dt_fine, buf)
+
+
+class _Reader:
+    """Path i of a helper's current block: standard_normal(shape) returns
+    the path's slice of the ready slot, valid until the next read."""
+
+    def __init__(self, helper, i, paths):
+        self.helper, self.i, self.paths = helper, i, paths
+
+    def standard_normal(self, shape):
+        return self.helper.read(self.i, self.paths, shape)
+
+
+class NoiseHelper:
+    """The parent's end of one helper process: its pid (None once
+    reaped), the ring file of two slots of `slot` normals, the "ready"
+    pipe it reads and the "free" pipe it writes."""
+
+    def __init__(self, pid, ring, slot, ready, free, staging):
+        self.pid, self.ring, self.slot = pid, ring, slot
+        self.ready, self.free = ready, free
+        self.staging = staging     # one path's slice of a chunk
+        self.s = 0                 # the slot read next
+
+    def readers(self, paths):
+        return [_Reader(self, i, paths) for i in range(paths)]
+
+    def read(self, i, paths, shape):
+        """Path i's normals in the current chunk.  Path 0 waits for the
+        slot; once the last path is read, the slot goes back to the
+        helper."""
+        n = math.prod(shape)
+        if i == 0:
+            said = os.read(self.ready, 1)
+            if said != b"\0":
+                self._died(os.read(self.ready, 4096).decode() if said else "")
+        out = self.staging[:n]
+        if os.preadv(self.ring, [out], (self.s * self.slot + i * n) * 8) != 8 * n:
+            raise NoiseHelperError("noise helper ring is short of a chunk")
+        if i == paths - 1:
+            try:
+                os.write(self.free, b"\0")
+            except BrokenPipeError:
+                pass    # past its last chunk; a helper that died shows at the next wait
+            self.s ^= 1
+        return out.reshape(shape)
+
+    def _died(self, why):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        raise NoiseHelperError(
+            f"noise helper ended before its last chunk (exit status "
+            f"{os.waitstatus_to_exitcode(status)}){': ' + why if why else ''}")
+
+    def close(self):
+        for fd in (self.ready, self.free, self.ring):
+            os.close(fd)
+
+
+def start_helpers(seed, m_modes, n_steps, span_lists, multiple=1):
+    """Fork one helper per list of block spans [(lo, hi), ...] and return
+    their NoiseHelpers.  Helper w draws the blocks of span_lists[w] in
+    order, chunked as stream_block chunks them, and those blocks are to
+    be streamed in that order with helper w."""
+    helpers = []
+    try:
+        for spans in span_lists:
+            ks = [(hi - lo, _steps_per_chunk(hi - lo, m_modes, n_steps, multiple))
+                  for lo, hi in spans]
+            slot = max(paths * k for paths, k in ks) * m_modes
+            staging = np.empty(max(k for _, k in ks) * m_modes)
+            ring = (os.memfd_create("spde-noise") if hasattr(os, "memfd_create")
+                    else os.dup(tempfile.TemporaryFile().fileno()))
+            os.ftruncate(ring, 2 * slot * 8)
+            ready_r, ready_w = os.pipe()
+            free_r, free_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the parent's ends, of this helper and of those forked
+                # before it: a helper holding another's "free" end would
+                # keep that one from seeing the parent stop
+                parent_ends = [ready_r, free_w] + [fd for h in helpers for fd in
+                                                   (h.ready, h.free, h.ring)]
+                _helper_main(parent_ends, ring, slot, ready_w, free_r,
+                             (seed, m_modes, n_steps, multiple, spans))
+            os.close(ready_w)
+            os.close(free_r)
+            helpers.append(NoiseHelper(pid, ring, slot, ready_r, free_w, staging))
+    except BaseException:
+        stop_helpers(helpers)
+        raise
+    return helpers
+
+
+def _helper_main(parent_ends, ring, slot, ready, free, job):
+    """A helper process from fork to os._exit: exit status 0 when it has
+    drawn its blocks or the parent has stopped, else 1, after writing
+    "!" and the error to `ready`."""
+    code = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        _draw_ahead(ring, slot, ready, free, *job)
+        code = 0
+    except BaseException as e:
+        try:
+            os.write(ready, b"!" + repr(e).encode()[:4000])
+        except OSError:
+            pass
+    finally:
+        os._exit(code)
+
+
+def _draw_ahead(ring, slot, ready, free, seed, m_modes, n_steps, multiple, spans):
+    """Fill the two slots in turn with each chunk's raw normals, path-major,
+    and write a byte to `ready` per slot; refill a slot only after reading
+    its byte from `free`.  Returns after the last block, or early once the
+    parent has closed its ends."""
+    slots = np.frombuffer(mmap.mmap(ring, 2 * slot * 8), dtype=np.float64)
+    slots = slots.reshape(2, slot)
+    s, credit = 0, 2
+    for lo, hi in spans:
+        gens = [path_generator(seed, pid) for pid in range(lo, hi)]
+        k = _steps_per_chunk(hi - lo, m_modes, n_steps, multiple)
+        for t in range(0, n_steps, k):
+            n = min(k, n_steps - t) * m_modes
+            if credit:
+                credit -= 1
+            elif not os.read(free, 1):
+                return
+            for i, gen in enumerate(gens):
+                gen.standard_normal(out=slots[s, i * n:(i + 1) * n].reshape(-1, m_modes))
+            try:
+                os.write(ready, b"\0")
+            except BrokenPipeError:
+                return
+            s ^= 1
+
+
+def stop_helpers(helpers):
+    """Close the parent's ends of every helper, then reap each: a helper
+    waiting for a free slot sees end of file and one still drawing fails
+    its next "ready" write, so each returns.  Closing them all before the
+    first wait keeps a helper from waiting on a sibling."""
+    for h in helpers:
+        h.close()
+    for h in helpers:
+        if h.pid is not None:
+            try:
+                os.waitpid(h.pid, 0)
+            except ChildProcessError:
+                pass
+            h.pid = None
 
 
 def coarsen_chunk(chunk, factors):

@@ -9,9 +9,14 @@ stable for spectra up to k^4).
 
 The step is batched over paths: a block of up to BLOCK paths advances
 as one (M, n) array per step.  One driver, `run_blocks`, owns what every
-ensemble experiment shares: the block spans, the worker threads, each
+ensemble experiment shares: the block spans, the block workers, each
 block's noise stream (time-major chunks (k, M, m) from
-noise.stream_block) and the chunk's lifetime.  An experiment supplies
+noise.stream_block) and the chunk's lifetime.  Each worker is a thread
+with one noise helper process (noise.start_helpers), forked before the
+workers start, that draws the worker's blocks up to two chunks ahead
+into a two-slot ring; the step loop only copies each chunk into its
+buffer `out` and scales it.  A chunk lives in a ring slot until it is copied,
+and in `out` until the next chunk overwrites it.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
 
@@ -39,7 +44,7 @@ expressions on (n,) constants.
 holds one chunk rather than the block's whole noise.  Chunks fed in
 order give the same bits as a single chunk holding every step.  The
 fixed BLOCK keeps a path's arithmetic independent of the number of
-worker threads; it does not make it independent of the path's position
+block workers; it does not make it independent of the path's position
 in its block (outside elementwise models such as heat-ou, the batched
 transforms can round differently).
 """
@@ -55,13 +60,14 @@ from . import basis as sb
 from . import noise as sn
 from .errors import ConfigError, NonfiniteStateError, UnsupportedModelNormError
 
-BLOCK = 256      # paths per batch; fixed so results never depend on threading
+BLOCK = 256      # paths per batch; fixed so results never depend on the workers
 
 STEPPERS = ("explicit-tamed", "semi-implicit")
 
 
 def worker_count(threads=None):
-    """Worker threads for `threads`: None means 1, 0 one per CPU."""
+    """Block workers for `threads`, each a thread with one noise helper
+    process: None means 1, 0 one per CPU."""
     if threads is None:
         return 1
     if threads == 0:
@@ -212,29 +218,42 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
     for every chunk of the block's noise (noise.stream_block with m_modes,
     dt and `multiple`); then, with the chunk dropped, finish(lo, hi, state).
     Returns the finish results in block order.  Blocks run on
-    worker_count(threads) threads; the callbacks of one block share no
-    state with another's.  They run with numpy's overflow and
-    invalid-value warnings off: blown rows are NaN by design, and the
-    experiments count them."""
+    min(worker_count(threads), blocks) worker threads, dealt round-robin;
+    before any starts, each gets one noise helper process
+    (noise.start_helpers) that draws its blocks' noise ahead of the steps.
+    The callbacks of one block share no state with another's.  They run
+    with numpy's overflow and invalid-value warnings off: blown rows are
+    NaN by design, and the experiments count them.  The helpers are
+    reaped before this returns or raises."""
     if M < 1:
         raise ConfigError("M must be >= 1")
 
-    def do_block(span):
+    def do_block(span, helper):
         lo, hi = span
         with np.errstate(over="ignore", invalid="ignore"):
             state = start(lo, hi)
             for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
-                                         multiple):
+                                         multiple, helper):
                 advance(state, chunk)
             del chunk   # frees the noise buffer before the block-end reductions
             return finish(lo, hi, state)
 
     spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
-    nw = worker_count(threads)
-    if nw > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            return list(ex.map(do_block, spans))
-    return [do_block(span) for span in spans]
+    nw = min(worker_count(threads), len(spans))
+    helpers = sn.start_helpers(seed, m_modes, n_steps,
+                               [spans[w::nw] for w in range(nw)], multiple)
+
+    def work(w):
+        return [do_block(span, helpers[w]) for span in spans[w::nw]]
+    try:
+        if nw == 1:
+            done = [work(0)]
+        else:
+            with ThreadPoolExecutor(max_workers=nw) as ex:
+                done = list(ex.map(work, range(nw)))
+        return [done[j % nw][j // nw] for j in range(len(spans))]
+    finally:
+        sn.stop_helpers(helpers)
 
 
 def solve_path(model, basis, x0, noise_path, stepper, t_end, save_dt):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spde
 from spde import cli
 from spde import diagnostics as dg
 from spde import models as sm
+from spde import noise as sn
 from spde import solver as sv
 from spde.config import initial_coefficients, load_config
 from spde.errors import ConfigError
@@ -185,6 +190,45 @@ def test_cli_thread_invariance(tmp_path):
     assert cli.main(base + ["--threads", "4", "--out", str(outb)]) == 0
     assert (outa / "equicontinuity.csv").read_bytes() == \
         (outb / "equicontinuity.csv").read_bytes()
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(spde.__file__)))
+
+# a moments run of three blocks, two chunks each, and a dt-refinement
+# uniqueness run whose chunks hold whole coarse steps (multiple 16)
+BIT_JOBS = [
+    (["moments", "--model", "p-laplacian", "--n-modes", "16", "--paths", "600",
+      "--seed", "4", "--t-end", "0.2", "--dt", "0.001", "--save-dt", "0.01"],
+     "moments.csv"),
+    (["uniqueness", "--model", "p-laplacian", "--n-modes", "8", "--paths", "300",
+      "--seed", "4", "--t-end", "0.32", "--dt", "0.001"], "uniqueness.csv"),
+]
+
+
+@pytest.mark.parametrize("args,csv_name", BIT_JOBS, ids=["moments", "uniqueness"])
+def test_csv_bytes_independent_of_workers_and_blas_threads(tmp_path, monkeypatch,
+                                                           args, csv_name):
+    # each setting runs `spde` in a fresh interpreter, so the BLAS thread
+    # count takes effect; the reference draws in process from one
+    # path_generator per path, with no helper
+    outs = {}
+    for threads in (1, 2):
+        for blas in ("1", "2"):
+            out = tmp_path / f"t{threads}-b{blas}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           SRC, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "spde.cli", *args, "--threads",
+                            str(threads), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outs[threads, blas] = (out / csv_name).read_bytes()
+    monkeypatch.setattr(sn, "start_helpers",
+                        lambda seed, m, steps, span_lists, multiple=1:
+                        [None] * len(span_lists))
+    monkeypatch.setattr(sn, "stop_helpers", lambda helpers: None)
+    ref = tmp_path / "in-process"
+    assert cli.main(args + ["--out", str(ref)]) == cli.EXIT_OK
+    assert set(outs.values()) == {(ref / csv_name).read_bytes()}
 
 
 def assert_usage_error(capsys, code, needle):

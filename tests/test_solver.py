@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import signal
 import tracemalloc
 import warnings
 import weakref
@@ -11,7 +14,8 @@ from spde import diagnostics as dg
 from spde import models as sm
 from spde import noise as sn
 from spde import solver as sv
-from spde.errors import ConfigError, NonfiniteStateError, UnsupportedModelNormError
+from spde.errors import (ConfigError, NoiseHelperError, NonfiniteStateError,
+                         UnsupportedModelNormError)
 
 
 def unit(n, k=0):
@@ -415,6 +419,116 @@ def test_run_blocks_order_and_chunk_lifetime(monkeypatch):
                        (512, 600, steps, True)]
     with pytest.raises(ConfigError, match="M must be >= 1"):
         sv.run_blocks(0, 0, 2, steps, 1e-3, start, advance, finish)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang into a failure: SIGALRM raises after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_helpers(monkeypatch):
+    """The NoiseHelpers run_blocks forks, as a list filled when it forks."""
+    forked, start = [], sn.start_helpers
+
+    def spy(*args, **kwargs):
+        helpers = start(*args, **kwargs)
+        forked.extend(helpers)
+        return helpers
+    monkeypatch.setattr(sn, "start_helpers", spy)
+    return forked
+
+
+def run_counted(threads, advance, M=600, steps=400):
+    """run_blocks over 2-mode noise in 5-step chunks (with the budget set
+    by the caller); each block's state counts its chunks."""
+    return sv.run_blocks(M, 0, 2, steps, 1e-3, lambda lo, hi: {"lo": lo, "chunks": 0},
+                         advance, lambda lo, hi, state: (lo, state["chunks"]),
+                         threads=threads)
+
+
+def count_chunk(state, chunk):
+    state["chunks"] += 1
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_run_blocks_forks_one_helper_per_worker_and_reaps_it(monkeypatch, threads):
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
+    forked = record_helpers(monkeypatch)
+    with deadline(60):
+        got = run_counted(threads, count_chunk)
+    # 400 steps in chunks of 5 steps, and of 14 for the 88-path tail block
+    assert got == [(0, 80), (256, 80), (512, 29)]
+    assert len(forked) == min(threads, 3)
+    assert all(h.pid is None for h in forked)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_reaps_helpers_when_a_callback_raises(monkeypatch, threads):
+    # block 1 stops on its second chunk while its helper is far from done
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
+
+    def advance(state, chunk):
+        count_chunk(state, chunk)
+        if state["lo"] == 256 and state["chunks"] == 2:
+            raise ConfigError("stop in block 1")
+    with deadline(60), pytest.raises(ConfigError, match="stop in block 1"):
+        run_counted(threads, advance)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_raises_when_a_helper_is_killed(monkeypatch, threads):
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
+    forked = record_helpers(monkeypatch)
+
+    def advance(state, chunk):
+        count_chunk(state, chunk)
+        if state["lo"] == 0 and state["chunks"] == 1:
+            os.kill(forked[0].pid, signal.SIGKILL)
+    with deadline(60), pytest.raises(NoiseHelperError, match="exit status -9"):
+        run_counted(threads, advance)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_raises_when_a_helper_fails(monkeypatch, threads):
+    # the generators are keyed in the helper only: the parent draws nothing
+    def broken(seed, path_id):
+        raise ValueError(f"no generator for path {path_id}")
+    monkeypatch.setattr(sn, "path_generator", broken)
+    with deadline(60), pytest.raises(NoiseHelperError,
+                                     match="exit status 1.*no generator for path"):
+        run_counted(threads, count_chunk)
+    assert_no_child_left()
+
+
+def test_helper_exits_when_its_ends_close_while_a_sibling_runs():
+    # helper 1 is forked holding copies of the parent's ends of helper 0;
+    # unless it drops them, helper 0 never sees the parent stop.  Both
+    # have far more chunks to draw than their two slots hold.
+    helpers = sn.start_helpers(0, 2, 10 ** 6, [[(0, 256)], [(256, 512)]])
+    try:
+        with deadline(30):
+            sn.stop_helpers(helpers[:1])
+        assert helpers[0].pid is None and helpers[1].pid is not None
+    finally:
+        sn.stop_helpers(helpers[1:])
+    assert_no_child_left()
 
 
 def test_save_grid_counts_steps_and_saves():
