@@ -2,12 +2,15 @@
 
 spde <command> [--config FILE] [flags...]
 
-Commands: check, simulate, converge, moments, equicontinuity, continuity,
-uniqueness.  Every flag has a config-file equivalent; flags win.  Exit
-codes: 0 success, 1 usage/config error, 2 audit violations, 3 blow-up.
-Artifacts are written once, after aggregation, so reruns with the same
-config byte-reproduce every CSV (summary.json additionally carries a
-timestamp, excluded from comparisons).
+Every flag has a config-file equivalent; flags win.  Every command shares
+the model, basis and run settings and reads its own experiment keys
+(config.READS), rejecting the others: check n_samples; simulate x0;
+moments x0, p, alpha; equicontinuity x0, deltas, alpha; converge x0,
+levels, alpha; continuity x0, perturbations, direction, p; uniqueness x0,
+dt_levels, mode.  Exit codes: 0 success, 1 usage/config error, 2 audit
+violations, 3 blow-up.  Artifacts are written once, after aggregation, so
+reruns with the same config byte-reproduce every CSV (summary.json
+additionally carries a timestamp, excluded from comparisons).
 """
 
 import argparse
@@ -20,8 +23,8 @@ from . import checks as ck
 from . import diagnostics as dg
 from . import noise as sn
 from . import solver as sv
-from .config import COMMANDS, initial_coefficients, load_config
-from .errors import ConfigError, NonfiniteStateError, SpdeError
+from .config import FLAGS, initial_coefficients, load_config
+from .errors import NonfiniteStateError, SpdeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,28 +37,12 @@ def build_parser():
         prog="spde",
         description="Spectral-Galerkin SPDE experiments: hypothesis audits, "
                     "simulation, and convergence/uniqueness diagnostics.")
-    ap.add_argument("command", choices=COMMANDS, help="experiment to run")
     ap.add_argument("--config", help="JSON config file")
-    ap.add_argument("--model", help="model name (e.g. heat-ou, p-laplacian)")
-    ap.add_argument("--n-modes", type=int, dest="n_modes", help="Galerkin dimension")
-    ap.add_argument("--grid-size", type=int, dest="grid_size",
-                    help="collocation grid size (default 4*n_modes)")
-    ap.add_argument("--dt", type=float, help="solver time step")
-    ap.add_argument("--save-dt", type=float, dest="save_dt", help="save interval")
-    ap.add_argument("--t-end", type=float, dest="t_end", help="final time")
-    ap.add_argument("--paths", type=int, help="Monte Carlo path count M")
-    ap.add_argument("--seed", type=int, help="ensemble seed")
-    ap.add_argument("--alpha", type=float, help="coercivity exponent override")
-    ap.add_argument("--p", type=float, help="moment exponent")
-    ap.add_argument("--sigma", type=float, help="noise amplitude (models with sigma)")
-    ap.add_argument("--nu", type=float, help="gradient-noise amplitude")
-    ap.add_argument("--x0", help="initial datum: zero, e1, decay2")
-    ap.add_argument("--stepper", choices=sv.STEPPERS, help="time stepper")
-    ap.add_argument("--n-samples", type=int, dest="n_samples",
-                    help="audit sample count (check)")
-    ap.add_argument("--threads", type=int,
-                    help="block workers, each with one noise helper process (0 = auto)")
-    ap.add_argument("--out", help="output directory")
+    for name, _, _, kind, text in FLAGS:
+        if isinstance(kind, tuple):
+            ap.add_argument(name, choices=kind, help=text)
+        else:
+            ap.add_argument(name, type=kind, help=text)
     return ap
 
 
@@ -73,22 +60,16 @@ def _write_summary(out_dir, payload):
         f.write("\n")
 
 
-def _x0(cfg, n_modes):
-    return initial_coefficients(cfg.experiment.get("x0", "e1"), n_modes)
-
-
 def run(cfg):
     """Dispatch a validated config; returns the process exit code."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     model = cfg.build_model()
     basis = cfg.build_basis(model)
-    run_sec = cfg.run
+    run_sec, exp = cfg.run, cfg.experiment
     seed = run_sec["seed"]
-    stepper = run_sec.get("stepper")
-    threads = run_sec.get("threads")
 
     if cfg.command == "check":
-        n_samples = int(cfg.experiment.get("n_samples", 10000))
+        n_samples = exp["n_samples"]
         reports = ck.run_all(model, basis, n_samples=n_samples, seed=seed)
         _write_csv(os.path.join(cfg.out_dir, "condition_report.csv"),
                    ck.reports_to_csv_rows(reports))
@@ -104,13 +85,13 @@ def run(cfg):
                            for r in reports}})
         return EXIT_OK if total == 0 else EXIT_VIOLATIONS
 
-    x0 = _x0(cfg, basis.n_modes)
+    x0 = initial_coefficients(exp["x0"], basis.n_modes)
     if cfg.command == "simulate":
         path = sn.sample_path(model.noise_modes(basis),
                               int(round(run_sec["t_end"] / run_sec["dt"])),
                               run_sec["dt"], seed, 0)
-        traj = sv.solve_path(model, basis, x0, path, stepper, run_sec["t_end"],
-                             run_sec["save_dt"])
+        traj = sv.solve_path(model, basis, x0, path, run_sec["stepper"],
+                             run_sec["t_end"], run_sec["save_dt"])
         _write_csv(os.path.join(cfg.out_dir, "trajectory.csv"),
                    sv.trajectory_csv_rows(traj, model, basis))
         h_final = float(traj.h_norms()[-1])
@@ -119,37 +100,25 @@ def run(cfg):
                                      "final_h_norm": h_final})
         return EXIT_OK
 
-    exp, dt = cfg.experiment, run_sec["dt"]
-    alpha = float(exp.get("alpha", model.alpha))
-    p = float(exp.get("p", 2.0))
+    dt = run_sec["dt"]
     kw = dict(M=run_sec["paths"], seed=seed, t_end=run_sec["t_end"],
-              save_dt=run_sec.get("save_dt"), stepper=stepper, threads=threads)
+              save_dt=run_sec["save_dt"], stepper=run_sec["stepper"],
+              threads=run_sec["threads"])
     if cfg.command == "moments":
-        table = dg.moment_report(model, basis, x0, p, alpha, dt=dt, **kw)
+        table = dg.moment_report(model, basis, x0, exp["p"], exp["alpha"], dt=dt, **kw)
     elif cfg.command == "equicontinuity":
-        deltas = exp.get("deltas")
-        if deltas is None:
-            # the default shifts that fit in the run; when none does, the
-            # first, which diagnostics.delta_shifts rejects naming t_end
-            save_dt = kw["save_dt"]
-            deltas = [k * save_dt for k in (2, 4, 8, 16, 32)
-                      if k <= round(kw["t_end"] / save_dt)] or [2 * save_dt]
-        table = dg.equicontinuity_statistic(model, basis, x0, deltas, alpha, dt=dt, **kw)
+        table = dg.equicontinuity_statistic(model, basis, x0, exp["deltas"],
+                                            exp["alpha"], dt=dt, **kw)
     elif cfg.command == "converge":
-        levels = exp["levels"]
-        table = dg.galerkin_convergence(model, _x0(cfg, max(levels)), levels,
-                                        alpha=alpha, dt=dt, **kw)
+        table = dg.galerkin_convergence(model, x0, exp["levels"], alpha=exp["alpha"],
+                                        dt=dt, **kw)
     elif cfg.command == "continuity":
-        eps = exp.get("perturbations", [0.1 / 2 ** j for j in range(5)])
-        direction = initial_coefficients(exp.get("direction", "e1"), basis.n_modes)
-        table = dg.initial_data_continuity(model, basis, x0, direction, eps, p, dt=dt,
-                                           **kw)
+        direction = initial_coefficients(exp["direction"], basis.n_modes)
+        table = dg.initial_data_continuity(model, basis, x0, direction,
+                                           exp["perturbations"], exp["p"], dt=dt, **kw)
     elif cfg.command == "uniqueness":
-        dt_levels = exp.get("dt_levels") or [dt * 2 ** k for k in (3, 2, 1, 0)]
-        table = dg.uniqueness_probe(model, basis, x0, dt_levels=dt_levels,
-                                    mode=exp.get("mode", "dt-refinement"), **kw)
-    else:
-        raise ConfigError(f"unhandled command {cfg.command!r}")
+        table = dg.uniqueness_probe(model, basis, x0, dt_levels=exp["dt_levels"],
+                                    mode=exp["mode"], **kw)
 
     dg.write_table(table, os.path.join(cfg.out_dir, f"{cfg.command}.csv"))
     payload = {"command": cfg.command, "model": model.name}
@@ -171,10 +140,8 @@ def main(argv=None):
         ns = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    flags = {k: v for k, v in vars(ns).items() if k != "config"}
     try:
-        cfg = load_config(ns.config, flags)
-        return run(cfg)
+        return run(load_config(ns.config, vars(ns)))
     except NonfiniteStateError as e:
         print(f"blow-up: {e}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -1,14 +1,18 @@
 """Strict JSON experiment configuration.
 
 A config document has five sections (model, basis, run, experiment,
-out_dir) plus the command.  Unknown keys anywhere are errors, flags
-override file fields, model parameters and initial-data coefficients
-must be finite numbers, the exponents p and alpha finite positive
-numbers, the deltas, perturbations and dt levels non-empty lists of
-finite positive numbers, and the dt | save_dt | t_end divisibility
-contract is enforced up front so every downstream ratio is an exact
-integer.  converge builds the model's own basis at each level, so it
-rejects a basis section that says more than n_modes = max(levels).
+out_dir) plus the command.  Each setting is declared once (FLAGS,
+_DEFAULTS, EXPERIMENT_KEYS) and a loaded config holds every default.  All
+commands share the model, basis and run sections; an experiment key
+outside the command's row of READS is an error.  Unknown keys anywhere
+are errors, flags override file fields, model parameters and
+initial-data coefficients must be finite numbers, the exponents p and
+alpha finite positive numbers (read as floats), the deltas, perturbations
+and dt levels non-empty lists of finite positive numbers, and the dt |
+save_dt | t_end divisibility contract is enforced up front so every
+downstream ratio is an exact integer.  converge builds the model's own
+basis at each level, so it rejects a basis section that says more than
+n_modes = max(levels).
 """
 
 import inspect
@@ -28,13 +32,36 @@ from .solver import STEPPERS, save_grid
 COMMANDS = ("check", "simulate", "converge", "moments", "equicontinuity",
             "continuity", "uniqueness")
 
-_BASIS_KEYS = {"kind", "n_modes", "grid_size", "v_weight_exponent"}
-_RUN_KEYS = {"t_end", "dt", "save_dt", "paths", "seed", "stepper", "threads"}
-_EXPERIMENT_KEYS = {"p", "alpha", "deltas", "levels", "perturbations",
-                    "x0", "direction", "dt_levels", "mode", "n_samples"}
-_TOP_KEYS = {"command", "model", "basis", "run", "experiment", "out_dir"}
+# Every command-line argument once: (name, section, key, type or choices,
+# help).  load_config moves the value argparse stores for --n-modes, as
+# n_modes, to section[key]; section None is the document's top level.
+FLAGS = (
+    ("command", None, "command", COMMANDS, "experiment to run"),
+    ("--model", "model", "name", str, "model name (e.g. heat-ou, p-laplacian)"),
+    ("--n-modes", "basis", "n_modes", int, "Galerkin dimension"),
+    ("--grid-size", "basis", "grid_size", int,
+     "collocation grid size (default 4*n_modes)"),
+    ("--dt", "run", "dt", float, "solver time step"),
+    ("--save-dt", "run", "save_dt", float, "save interval"),
+    ("--t-end", "run", "t_end", float, "final time"),
+    ("--paths", "run", "paths", int, "Monte Carlo path count M"),
+    ("--seed", "run", "seed", int, "ensemble seed"),
+    ("--alpha", "experiment", "alpha", float, "coercivity exponent override"),
+    ("--p", "experiment", "p", float, "moment exponent"),
+    ("--sigma", "model", "sigma", float, "noise amplitude (models with sigma)"),
+    ("--nu", "model", "nu", float, "gradient-noise amplitude"),
+    ("--x0", "experiment", "x0", str, "initial datum: zero, e1, decay2"),
+    ("--stepper", "run", "stepper", STEPPERS, "time stepper"),
+    ("--n-samples", "experiment", "n_samples", int, "audit sample count (check)"),
+    ("--threads", "run", "threads", int,
+     "block workers, each with one noise helper process (0 = one per two CPUs)"),
+    ("--out", None, "out_dir", str, "output directory"),
+)
 
-_X0_PRESETS = ("zero", "e1", "decay2")
+_SECTIONS = ("model", "basis", "run", "experiment")
+# the x0 and direction presets, as coefficients of n modes
+_PRESETS = {"zero": np.zeros, "e1": lambda n: np.eye(1, n)[0],
+            "decay2": lambda n: 1.0 / (1.0 + np.arange(n)) ** 2}
 
 
 @dataclass
@@ -51,16 +78,8 @@ class ExperimentConfig:
         return build_model(self.model_name, **self.model_params)
 
     def build_basis(self, model):
-        n = self.basis["n_modes"]
-        g = self.basis.get("grid_size") or 4 * n
-        kind = self.basis.get("kind") or model.basis_kind
-        if kind != model.basis_kind:
-            raise ConfigError(
-                f"basis.kind {kind!r} does not match model basis {model.basis_kind!r}")
-        s = self.basis.get("v_weight_exponent")
-        if s is None:
-            s = model.v_weight_exponent
-        return build_basis(kind, n, g, s)
+        return build_basis(model.basis_kind, self.basis["n_modes"],
+                           self.basis["grid_size"], self.basis["v_weight_exponent"])
 
 
 def _reject_unknown(section, mapping, allowed):
@@ -86,14 +105,14 @@ def _integer(value, what, minimum=1):
     return int(value)
 
 
-def _check_levels(value):
+def _check_levels(value, what):
     """Galerkin levels: at least two distinct integers >= 1."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"experiment.levels must be a list, got {value!r}")
-    levels = [_integer(v, f"experiment.levels[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    levels = [_integer(v, f"{what}[{i}]") for i, v in enumerate(value)]
     if len(levels) < 2 or len(set(levels)) != len(levels):
         raise ConfigError(
-            f"experiment.levels must hold at least two distinct integers, got {value!r}")
+            f"{what} must hold at least two distinct integers, got {value!r}")
     return levels
 
 
@@ -101,6 +120,7 @@ def _positive_number(value, what):
     _finite_number(value, what)
     if value <= 0:
         raise ConfigError(f"{what} must be positive, got {value!r}")
+    return float(value)
 
 
 def _positive_numbers(value, what):
@@ -109,30 +129,73 @@ def _positive_numbers(value, what):
         raise ConfigError(f"{what} must be a non-empty list of numbers, got {value!r}")
     for i, entry in enumerate(value):
         _positive_number(entry, f"{what}[{i}]")
+    return value
 
 
 def _check_coefficients(value, what):
     """A preset name or a non-empty list of finite coefficients."""
     if isinstance(value, str):
-        if value not in _X0_PRESETS:
-            raise ConfigError(f"{what} preset must be one of {_X0_PRESETS}")
-        return
+        if value not in _PRESETS:
+            raise ConfigError(f"{what} preset must be one of {tuple(_PRESETS)}")
+        return value
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{what} must be a preset name or a list of numbers")
     for i, entry in enumerate(value):
         _finite_number(entry, f"{what}[{i}]")
+    return value
 
+
+def _check_mode(value, what):
+    if value not in PROBE_MODES:
+        raise ConfigError(f"{what} must be one of {PROBE_MODES}, got {value!r}")
+    return value
+
+
+def _default_deltas(run, model):
+    # the shifts that fit in the run; when none does, the first, which
+    # diagnostics.delta_shifts rejects naming t_end
+    save_dt = run["save_dt"]
+    return [k * save_dt for k in (2, 4, 8, 16, 32)
+            if k <= round(run["t_end"] / save_dt)] or [2 * save_dt]
+
+
+# Every experiment key once: (check, default).  A check returns the value it
+# accepts; a callable default takes the resolved run section and the model.
+EXPERIMENT_KEYS = {
+    "n_samples": (_integer, 10000),
+    "x0": (_check_coefficients, "e1"),
+    "p": (_positive_number, 2.0),
+    "alpha": (_positive_number, lambda run, model: float(model.alpha)),
+    "deltas": (_positive_numbers, _default_deltas),
+    "levels": (_check_levels, lambda run, model: [8, 16, 32]),
+    "perturbations": (_positive_numbers,
+                      lambda run, model: [0.1 / 2 ** j for j in range(5)]),
+    "direction": (_check_coefficients, "e1"),
+    "dt_levels": (_positive_numbers,
+                  lambda run, model: [run["dt"] * 2 ** k for k in (3, 2, 1, 0)]),
+    "mode": (_check_mode, "dt-refinement"),
+}
+
+READS = {
+    "check": ("n_samples",),
+    "simulate": ("x0",),
+    "moments": ("x0", "p", "alpha"),
+    "equicontinuity": ("x0", "deltas", "alpha"),
+    "converge": ("x0", "levels", "alpha"),
+    "continuity": ("x0", "perturbations", "direction", "p"),
+    "uniqueness": ("x0", "dt_levels", "mode"),
+}
 
 _DEFAULTS = {
-    "basis": {"n_modes": 16},
-    "run": {"t_end": 1.0, "dt": 1e-3, "paths": 100, "seed": 0},
-    "experiment": {},
+    "basis": {"n_modes": 16, "grid_size": None, "v_weight_exponent": None},
+    "run": {"t_end": 1.0, "dt": 1e-3, "paths": 100, "seed": 0, "stepper": None,
+            "threads": None},
     "out_dir": "out",
 }
 
 
 def load_config(path=None, flags=None):
-    """Parse and validate: file first, then flag overrides, then defaults."""
+    """Parse, validate and resolve: file, then flag overrides, then defaults."""
     doc = {}
     if path is not None:
         try:
@@ -144,37 +207,18 @@ def load_config(path=None, flags=None):
             raise ConfigError(f"config parse error: {e}") from e
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-    _reject_unknown("", doc, _TOP_KEYS)
+    _reject_unknown("", doc, {"command", "out_dir", *_SECTIONS})
 
-    model_sec = dict(doc.get("model", {}))
-    basis_sec = dict(doc.get("basis", {}))
-    run_sec = dict(doc.get("run", {}))
-    exp_sec = dict(doc.get("experiment", {}))
-    command = doc.get("command")
-    out_dir = doc.get("out_dir", _DEFAULTS["out_dir"])
-
+    sections = {s: dict(doc.get(s, {})) for s in _SECTIONS}
+    sections[None] = {"command": doc.get("command"),
+                      "out_dir": doc.get("out_dir", _DEFAULTS["out_dir"])}
     flags = flags or {}
-    if flags.get("command") is not None:
-        command = flags["command"]
-    if flags.get("model") is not None:
-        model_sec["name"] = flags["model"]
-    for k in ("sigma", "nu"):
-        if flags.get(k) is not None:
-            model_sec[k] = flags[k]
-    if flags.get("n_modes") is not None:
-        basis_sec["n_modes"] = flags["n_modes"]
-    if flags.get("grid_size") is not None:
-        basis_sec["grid_size"] = flags["grid_size"]
-    for k in ("t_end", "dt", "save_dt", "seed", "stepper", "threads"):
-        if flags.get(k) is not None:
-            run_sec[k] = flags[k]
-    if flags.get("paths") is not None:
-        run_sec["paths"] = flags["paths"]
-    for k in ("p", "alpha", "x0", "n_samples"):
-        if flags.get(k) is not None:
-            exp_sec[k] = flags[k]
-    if flags.get("out") is not None:
-        out_dir = flags["out"]
+    for name, section, key, _, _ in FLAGS:
+        value = flags.get(name.lstrip("-").replace("-", "_"))
+        if value is not None:
+            sections[section][key] = value
+    model_sec, basis_sec, run_sec, exp_sec = (sections[s] for s in _SECTIONS)
+    command = sections[None]["command"]
 
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
@@ -187,27 +231,32 @@ def load_config(path=None, flags=None):
     _reject_unknown("model", model_sec, inspect.signature(MODELS[name]).parameters)
     for key, value in model_sec.items():
         _finite_number(value, f"model.{key}")
-    _reject_unknown("basis", basis_sec, _BASIS_KEYS)
-    _reject_unknown("run", run_sec, _RUN_KEYS)
-    _reject_unknown("experiment", exp_sec, _EXPERIMENT_KEYS)
+    model = build_model(name, **model_sec)
+    _reject_unknown("basis", basis_sec, _DEFAULTS["basis"])
+    _reject_unknown("run", run_sec, {"save_dt", *_DEFAULTS["run"]})
+    _reject_unknown("experiment", exp_sec, EXPERIMENT_KEYS)
 
     basis = {**_DEFAULTS["basis"], **basis_sec}
     run = {**_DEFAULTS["run"], **run_sec}
-    if command != "uniqueness":     # which defaults it to its coarsest dt level
+    if command != "uniqueness":     # which saves at its coarsest dt level, below
         run.setdefault("save_dt", run["dt"])
 
     basis["n_modes"] = _integer(basis["n_modes"], "basis.n_modes")
-    if basis.get("grid_size") is not None:
+    if basis["grid_size"] is None:
+        basis["grid_size"] = 4 * basis["n_modes"]
+    else:
         basis["grid_size"] = _integer(basis["grid_size"], "basis.grid_size")
         if basis["grid_size"] < 4 * basis["n_modes"]:
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
+    if basis["v_weight_exponent"] is None:
+        basis["v_weight_exponent"] = model.v_weight_exponent
     run["paths"] = _integer(run["paths"], "run.paths")
     run["seed"] = _integer(run["seed"], "run.seed", minimum=0)
     if run["seed"] >= 2 ** 64:      # the uint64 half of a path's Philox key
         raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
-    if run.get("threads") is not None:
+    if run["threads"] is not None:
         run["threads"] = _integer(run["threads"], "run.threads", minimum=0)
-    if run.get("stepper") is not None and run["stepper"] not in STEPPERS:
+    if run["stepper"] is not None and run["stepper"] not in STEPPERS:
         raise ConfigError(f"unknown stepper {run['stepper']!r}")
 
     for key in ("t_end", "dt", "save_dt"):
@@ -215,23 +264,21 @@ def load_config(path=None, flags=None):
             _finite_number(run[key], f"run.{key}")
     save_grid(run["t_end"], run["dt"], run.get("save_dt", run["dt"]))
 
-    for key in ("p", "alpha"):
-        if key in exp_sec:
-            _positive_number(exp_sec[key], f"experiment.{key}")
-    for key in ("deltas", "perturbations", "dt_levels"):
-        if key in exp_sec:
-            _positive_numbers(exp_sec[key], f"experiment.{key}")
-    for key in ("x0", "direction"):
-        if key in exp_sec:
-            _check_coefficients(exp_sec[key], f"experiment.{key}")
-    if "n_samples" in exp_sec:
-        exp_sec["n_samples"] = _integer(exp_sec["n_samples"], "experiment.n_samples")
-    if "levels" in exp_sec:
-        exp_sec["levels"] = _check_levels(exp_sec["levels"])
+    reads = READS[command]
+    for key, value in exp_sec.items():     # a bad value outranks an unread key
+        exp_sec[key] = EXPERIMENT_KEYS[key][0](value, f"experiment.{key}")
+        if key not in reads:
+            raise ConfigError(f"experiment.{key} is not read by {command}, which "
+                              f"reads {', '.join(reads)}")
+    for key in reads:
+        default = EXPERIMENT_KEYS[key][1]
+        exp_sec.setdefault(key, default(run, model) if callable(default) else default)
+    if command == "uniqueness":
+        run.setdefault("save_dt", max(exp_sec["dt_levels"]))
     if command == "converge":
         # each level n runs on the model's own basis of n modes on 4n
         # points, so the basis section may only restate the finest level
-        levels = exp_sec.setdefault("levels", [8, 16, 32])
+        levels = exp_sec["levels"]
         for key in ("grid_size", "v_weight_exponent"):
             if basis_sec.get(key) is not None:
                 raise ConfigError(f"basis.{key} is not used by converge: level n "
@@ -239,24 +286,15 @@ def load_config(path=None, flags=None):
         if "n_modes" in basis_sec and basis["n_modes"] != max(levels):
             raise ConfigError(f"basis.n_modes {basis['n_modes']} is not the finest "
                               f"converge level {max(levels)}")
-    if "mode" in exp_sec and exp_sec["mode"] not in PROBE_MODES:
-        raise ConfigError(f"experiment.mode must be one of {PROBE_MODES}, "
-                          f"got {exp_sec['mode']!r}")
+        basis.update(n_modes=max(levels), grid_size=4 * max(levels))
 
     return ExperimentConfig(command=command, model_name=name,
                             model_params=model_sec, basis=basis, run=run,
-                            experiment=exp_sec, out_dir=str(out_dir))
+                            experiment=exp_sec, out_dir=str(sections[None]["out_dir"]))
 
 
 def initial_coefficients(x0, n_modes):
     """Resolve an x0 selector (preset name or coefficient list)."""
     if isinstance(x0, str):
-        c = np.zeros(n_modes)
-        if x0 == "e1":
-            c[0] = 1.0
-        elif x0 == "decay2":
-            c[:] = 1.0 / (1.0 + np.arange(n_modes)) ** 2
-        elif x0 != "zero":
-            raise ConfigError(f"unknown x0 preset {x0!r}")
-        return c
+        return _PRESETS[_check_coefficients(x0, "x0")](n_modes)
     return np.asarray(x0, float).ravel()

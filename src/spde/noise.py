@@ -53,10 +53,6 @@ class NoisePath:
     seed: int
     path_id: int
 
-    @property
-    def t_end(self):
-        return self.n_steps * self.dt_fine
-
 
 def path_generator(seed, path_id):
     key = np.array([seed, path_id], dtype=np.uint64)   # 128-bit Philox key

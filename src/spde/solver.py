@@ -67,12 +67,10 @@ STEPPERS = ("explicit-tamed", "semi-implicit")
 
 def worker_count(threads=None):
     """Block workers for `threads`, each a thread with one noise helper
-    process: None means 1, 0 one per CPU."""
-    if threads is None:
-        return 1
+    process: None means 1, 0 one per two CPUs (at least one)."""
     if threads == 0:
-        return os.cpu_count() or 1
-    return max(1, threads)
+        return max(1, (os.cpu_count() or 1) // 2)
+    return max(1, threads or 1)
 
 
 def ratio_as_int(num, den, what):

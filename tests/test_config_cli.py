@@ -13,7 +13,7 @@ from spde import diagnostics as dg
 from spde import models as sm
 from spde import noise as sn
 from spde import solver as sv
-from spde.config import initial_coefficients, load_config
+from spde.config import EXPERIMENT_KEYS, READS, initial_coefficients, load_config
 from spde.errors import ConfigError
 
 
@@ -632,3 +632,79 @@ def test_heat_ou_moments_golden_bytes(tmp_path):
     assert code == cli.EXIT_OK
     digest = hashlib.sha256((out / "moments.csv").read_bytes()).hexdigest()
     assert digest == "ac1ec309c4f0db798e0868351775c39f415148f1c837c40377b556807e83ca62"
+
+
+# a valid value of each experiment key for a heat-ou run to t_end 0.08
+VALID = {"n_samples": 64, "x0": "e1", "p": 2.0, "alpha": 2.0, "deltas": [0.02],
+         "levels": [2, 4], "perturbations": [0.1], "direction": "e1",
+         "dt_levels": [0.002, 0.001], "mode": "identical"}
+
+
+@pytest.mark.parametrize("key", sorted(EXPERIMENT_KEYS))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_accepts_only_the_experiment_keys_a_command_reads(tmp_path, capsys,
+                                                                 command, key):
+    path = write_cfg(tmp_path, {"command": command, "model": {"name": "heat-ou"},
+                                "run": {"t_end": 0.08, "paths": 4},
+                                "experiment": {key: VALID[key]}})
+    if key in READS[command]:
+        assert load_config(path).experiment[key] == VALID[key]
+        return
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", path, "--out", str(out)])
+    assert_usage_error(capsys, code, f"experiment.{key} is not read by {command}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("moments", "--n-samples", "50"), ("check", "--p", "3"),
+    ("uniqueness", "--alpha", "2"), ("continuity", "--alpha", "2"),
+    ("converge", "--p", "3"),
+])
+def test_cli_rejects_flags_the_command_does_not_read(tmp_path, capsys, command, flag,
+                                                     value):
+    out = tmp_path / "o"
+    code = cli.main([command, "--model", "heat-ou", "--paths", "8", "--t-end", "0.05",
+                     flag, value, "--out", str(out)])
+    assert_usage_error(capsys, code, f"experiment.{flag[2:].replace('-', '_')} is "
+                                     f"not read by {command}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_resolves_every_key_the_command_reads(command):
+    cfg = load_config(None, {"command": command, "model": "p-laplacian"})
+    assert set(cfg.experiment) == set(READS[command])
+    assert set(cfg.run) == {"t_end", "dt", "save_dt", "paths", "seed", "stepper",
+                            "threads"}
+    assert cfg.run["save_dt"] == (8e-3 if command == "uniqueness" else 1e-3)
+    assert set(cfg.basis) == {"n_modes", "grid_size", "v_weight_exponent"}
+    if "alpha" in cfg.experiment:           # the model's own, as a float
+        assert cfg.experiment["alpha"] == 4.0 and isinstance(cfg.experiment["alpha"],
+                                                             float)
+
+
+def test_cli_writes_integer_p_and_alpha_as_floats(tmp_path):
+    path = write_cfg(tmp_path, {"command": "moments", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4}, "run": {"t_end": 0.05, "paths": 8},
+                                "experiment": {"p": 2, "alpha": 2}})
+    out = tmp_path / "m"
+    assert cli.main(["moments", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    text = (out / "summary.json").read_text()
+    assert '"p": 2.0' in text and '"alpha": 2.0' in text
+
+
+def test_cli_every_command_accepts_every_run_key(tmp_path):
+    # the run section is shared: check reads no paths, t_end or threads
+    code = cli.main(["check", "--model", "heat-ou", "--n-modes", "4", "--n-samples", "50",
+                     "--paths", "8", "--t-end", "0.05", "--threads", "2",
+                     "--out", str(tmp_path / "c")])
+    assert code == cli.EXIT_OK
+
+
+def test_config_has_no_basis_kind(tmp_path):
+    # the basis kind is the model's own
+    path = write_cfg(tmp_path, {"command": "check", "model": {"name": "heat-ou"},
+                                "basis": {"kind": "dirichlet-interval"}})
+    with pytest.raises(ConfigError, match="unknown key basis.kind"):
+        load_config(path)
