@@ -2,15 +2,13 @@
 
 spde <command> [--config FILE] [flags...]
 
-Every flag has a config-file equivalent; flags win.  Every command shares
-the model, basis and run settings and reads its own experiment keys
-(config.READS), rejecting the others: check n_samples; simulate x0;
-moments x0, p, alpha; equicontinuity x0, deltas, alpha; converge x0,
-levels, alpha; continuity x0, perturbations, direction, p; uniqueness x0,
-dt_levels, mode.  Exit codes: 0 success, 1 usage/config error, 2 audit
-violations, 3 blow-up.  Artifacts are written once, after aggregation, so
-reruns with the same config byte-reproduce every CSV (summary.json
-additionally carries a timestamp, excluded from comparisons).
+Every flag has a config-file equivalent (config.FLAGS); flags win.  Every
+command shares the model, basis and run settings and reads its own row of
+experiment keys (config.READS), rejecting the others.  Exit codes: 0
+success, 1 usage/config error, 2 audit violations, 3 blow-up.  Artifacts
+are written once, after aggregation, so reruns with the same config
+byte-reproduce every CSV (summary.json additionally carries a timestamp,
+excluded from comparisons).
 """
 
 import argparse
@@ -39,10 +37,8 @@ def build_parser():
                     "simulation, and convergence/uniqueness diagnostics.")
     ap.add_argument("--config", help="JSON config file")
     for name, _, _, kind, text in FLAGS:
-        if isinstance(kind, tuple):
-            ap.add_argument(name, choices=kind, help=text)
-        else:
-            ap.add_argument(name, type=kind, help=text)
+        how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        ap.add_argument(name, help=text, **how)
     return ap
 
 
@@ -69,15 +65,14 @@ def run(cfg):
     seed = run_sec["seed"]
 
     if cfg.command == "check":
-        n_samples = exp["n_samples"]
-        reports = ck.run_all(model, basis, n_samples=n_samples, seed=seed)
+        reports = ck.run_all(model, basis, n_samples=exp["n_samples"], seed=seed)
         _write_csv(os.path.join(cfg.out_dir, "condition_report.csv"),
                    ck.reports_to_csv_rows(reports))
         text = ck.format_summary(model.name, reports)
         print(text)
         total = sum(r.n_violations for r in reports)
         _write_summary(cfg.out_dir, {
-            "command": "check", "model": model.name, "n_samples": n_samples,
+            "command": "check", "model": model.name, "n_samples": exp["n_samples"],
             "violations": int(total),
             "conditions": {r.condition: {"violations": r.n_violations,
                                          "min_margin": r.min_margin,

@@ -54,7 +54,7 @@ FLAGS = (
     ("--stepper", "run", "stepper", STEPPERS, "time stepper"),
     ("--n-samples", "experiment", "n_samples", int, "audit sample count (check)"),
     ("--threads", "run", "threads", int,
-     "block workers, each with one noise helper process (0 = one per two CPUs)"),
+     "block workers, each with one noise helper process (0 = auto)"),
     ("--out", None, "out_dir", str, "output directory"),
 )
 
@@ -67,7 +67,7 @@ _PRESETS = {"zero": np.zeros, "e1": lambda n: np.eye(1, n)[0],
 @dataclass
 class ExperimentConfig:
     command: str
-    model_name: str
+    model: object       # built once by load_config, which resolves its defaults
     model_params: dict
     basis: dict
     run: dict
@@ -75,7 +75,7 @@ class ExperimentConfig:
     out_dir: str
 
     def build_model(self):
-        return build_model(self.model_name, **self.model_params)
+        return self.model
 
     def build_basis(self, model):
         return build_basis(model.basis_kind, self.basis["n_modes"],
@@ -250,6 +250,9 @@ def load_config(path=None, flags=None):
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
     if basis["v_weight_exponent"] is None:
         basis["v_weight_exponent"] = model.v_weight_exponent
+    _finite_number(basis["v_weight_exponent"], "basis.v_weight_exponent")
+    if basis["v_weight_exponent"] < 0:
+        raise ConfigError("basis.v_weight_exponent must be >= 0")
     run["paths"] = _integer(run["paths"], "run.paths")
     run["seed"] = _integer(run["seed"], "run.seed", minimum=0)
     if run["seed"] >= 2 ** 64:      # the uint64 half of a path's Philox key
@@ -288,7 +291,7 @@ def load_config(path=None, flags=None):
                               f"converge level {max(levels)}")
         basis.update(n_modes=max(levels), grid_size=4 * max(levels))
 
-    return ExperimentConfig(command=command, model_name=name,
+    return ExperimentConfig(command=command, model=model,
                             model_params=model_sec, basis=basis, run=run,
                             experiment=exp_sec, out_dir=str(sections[None]["out_dir"]))
 

@@ -67,10 +67,12 @@ STEPPERS = ("explicit-tamed", "semi-implicit")
 
 def worker_count(threads=None):
     """Block workers for `threads`, each a thread with one noise helper
-    process: None means 1, 0 one per two CPUs (at least one)."""
+    process: None means 1, 0 one per CPU."""
+    if threads is None:
+        return 1
     if threads == 0:
-        return max(1, (os.cpu_count() or 1) // 2)
-    return max(1, threads or 1)
+        return os.cpu_count() or 1
+    return max(1, threads)
 
 
 def ratio_as_int(num, den, what):

@@ -708,3 +708,27 @@ def test_config_has_no_basis_kind(tmp_path):
                                 "basis": {"kind": "dirichlet-interval"}})
     with pytest.raises(ConfigError, match="unknown key basis.kind"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value,needle", [
+    ("abc", "basis.v_weight_exponent must be a finite number"),
+    (True, "basis.v_weight_exponent must be a finite number"),
+    (float("nan"), "basis.v_weight_exponent must be a finite number"),
+    (-1, "basis.v_weight_exponent must be >= 0"),
+])
+def test_cli_rejects_bad_v_weight_exponent(tmp_path, capsys, value, needle):
+    path = write_cfg(tmp_path, {"command": "check", "model": {"name": "heat-ou"},
+                                "basis": {"n_modes": 4, "v_weight_exponent": value}})
+    code = cli.main(["check", "--config", path, "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, needle)
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_keeps_the_model_it_resolved_defaults_from(tmp_path):
+    path = write_cfg(tmp_path, {"command": "moments",
+                                "model": {"name": "p-laplacian", "p": 3}})
+    cfg = load_config(path)
+    model = cfg.build_model()
+    assert model is cfg.build_model()
+    assert cfg.experiment["alpha"] == float(model.alpha)
+    assert cfg.basis["v_weight_exponent"] == model.v_weight_exponent

@@ -59,15 +59,6 @@ def one_step(model, basis, c, dt, stepper):
     return run
 
 
-@pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 1), (3, 1), (8, 4), (None, 1)])
-def test_worker_count_auto_is_one_per_two_cpus(monkeypatch, cpus, workers):
-    # each worker brings a noise helper process, so two per CPU would
-    # oversubscribe
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert sv.worker_count(0) == workers
-    assert sv.worker_count(3) == 3 and sv.worker_count(None) == 1
-
-
 def test_tamed_step_zero_drift_zero_noise():
     m = sm.HeatOU(sigma=0.0)
     b = m.make_basis(4)
