@@ -54,7 +54,7 @@ FLAGS = (
     ("--stepper", "run", "stepper", STEPPERS, "time stepper"),
     ("--n-samples", "experiment", "n_samples", int, "audit sample count (check)"),
     ("--threads", "run", "threads", int,
-     "block workers, each with one noise helper process (0 = auto)"),
+     "block workers, each with one noise helper process"),
     ("--out", None, "out_dir", str, "output directory"),
 )
 
@@ -258,7 +258,7 @@ def load_config(path=None, flags=None):
     if run["seed"] >= 2 ** 64:      # the uint64 half of a path's Philox key
         raise ConfigError(f"run.seed must be below 2**64, got {run['seed']}")
     if run["threads"] is not None:
-        run["threads"] = _integer(run["threads"], "run.threads", minimum=0)
+        run["threads"] = _integer(run["threads"], "run.threads")
     if run["stepper"] is not None and run["stepper"] not in STEPPERS:
         raise ConfigError(f"unknown stepper {run['stepper']!r}")
 

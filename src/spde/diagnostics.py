@@ -11,6 +11,9 @@ next chunk, as running maxima (moments, continuity, uniqueness) or as
 per-row values integrated at the block's end (moments, converge,
 equicontinuity), so memory does not grow with the number of saves
 either.
+Converge steps its finest level on a partner process beside each block
+worker (solver.run_blocks), which sends that level's save rows and
+blow-up times back chunk by chunk; the parent steps the other levels.
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -259,7 +262,9 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
     estimate E int_0^T ||X_n - X_2n||_H^alpha dt over the paths that
     stayed finite at every level; the others are counted in n_blown
     (_survivor_rows).  Blocks of paths run on `threads` workers
-    (solver.run_blocks); the table does not depend on the count.
+    (solver.run_blocks); the table does not depend on the count.  Each
+    worker steps every level but the finest, which its partner process
+    steps on the same noise; its rows enter the last Cauchy pair.
     """
     alpha = alpha if alpha is not None else model.alpha
     levels = sorted(n_levels)
@@ -267,29 +272,36 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
     m_fine = m_modes if m_modes is not None else max(
         model.noise_modes(bases[n]) for n in levels)
     steps, save_every = sv.save_grid(t_end, dt, save_dt)
+    *below, top = levels
+
+    def start_level(n, lo, hi):
+        return sv.start_block(model, bases[n], x0, hi - lo, dt, stepper, save_every)
 
     def start(lo, hi):
-        runs = {n: sv.start_block(model, bases[n], x0, hi - lo, dt, stepper, save_every)
-                for n in levels}
+        # the finest level runs on the block's partner process
+        runs = {n: start_level(n, lo, hi) for n in below}
         # per level pair, the (k, rows) values of each chunk's save rows
-        return runs, [[] for _ in levels[1:]]
+        return runs, [[] for _ in below]
 
-    def advance(state, chunk):
+    def advance(state, chunk, top_rows):
         runs, parts = state
-        rows = {n: sv._advance_block(model, bases[n], runs[n], chunk) for n in levels}
-        for out, a, bn in zip(parts, levels[:-1], levels[1:]):
+        rows = {n: sv._advance_block(model, bases[n], runs[n], chunk) for n in below}
+        rows[top] = top_rows
+        for out, a, bn in zip(parts, below, levels[1:]):
             diff = rows[bn].copy()
             diff[:, :, :a] -= rows[a]
             out.append(_shift_power(diff, alpha))
 
-    def finish(lo, hi, state):
+    def finish(lo, hi, state, top_blow_t):
         runs, parts = state
         return ([_trapezoid(out, save_dt) for out in parts],
-                _first_blowups(runs.values()))
+                np.fmin(_first_blowups(runs.values()), top_blow_t))
 
-    return _table("converge", levels[:-1],
+    return _table("converge", below,
                   sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
-                                threads=threads),
+                                threads=threads,
+                                partner=lambda lo, hi: (model, bases[top],
+                                                        start_level(top, lo, hi))),
                   alpha=alpha, levels=list(map(int, levels)))
 
 

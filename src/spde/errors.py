@@ -56,3 +56,7 @@ class ConfigError(SpdeError):
 
 class NoiseHelperError(SpdeError):
     """A noise helper process ended before drawing all of its chunks."""
+
+
+class PartnerError(SpdeError):
+    """A partner process ended before writing all of its blocks' rows."""

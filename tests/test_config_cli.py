@@ -194,23 +194,30 @@ def test_cli_thread_invariance(tmp_path):
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spde.__file__)))
 
-# a moments run of three blocks, two chunks each, and a dt-refinement
-# uniqueness run whose chunks hold whole coarse steps (multiple 16)
+# a moments run of three blocks, two chunks each, a dt-refinement
+# uniqueness run whose chunks hold whole coarse steps (multiple 16), and a
+# converge run of a full and a tail block, whose finest level steps on a
+# partner process
 BIT_JOBS = [
     (["moments", "--model", "p-laplacian", "--n-modes", "16", "--paths", "600",
       "--seed", "4", "--t-end", "0.2", "--dt", "0.001", "--save-dt", "0.01"],
      "moments.csv"),
     (["uniqueness", "--model", "p-laplacian", "--n-modes", "8", "--paths", "300",
       "--seed", "4", "--t-end", "0.32", "--dt", "0.001"], "uniqueness.csv"),
+    (["converge", "--model", "p-laplacian", "--x0", "decay2", "--paths", "300",
+      "--seed", "4", "--t-end", "0.02", "--dt", "0.0001", "--save-dt", "0.002"],
+     "converge.csv"),
 ]
 
 
-@pytest.mark.parametrize("args,csv_name", BIT_JOBS, ids=["moments", "uniqueness"])
+@pytest.mark.parametrize("args,csv_name", BIT_JOBS,
+                         ids=["moments", "uniqueness", "converge"])
 def test_csv_bytes_independent_of_workers_and_blas_threads(tmp_path, monkeypatch,
                                                            args, csv_name):
     # each setting runs `spde` in a fresh interpreter, so the BLAS thread
     # count takes effect; the reference draws in process from one
-    # path_generator per path, with no helper
+    # path_generator per path, with no helper (a converge partner draws
+    # its noise so in either case)
     outs = {}
     for threads in (1, 2):
         for blas in ("1", "2"):
@@ -520,9 +527,10 @@ def test_cli_simulate_runs_every_model_at_its_default_stepper(tmp_path, model):
     ("t_end", float("inf"), "run.t_end must be a finite number"),
     ("save_dt", True, "run.save_dt must be a finite number"),
     ("dt", -1e-3, "save_dt/dt: values must be positive"),
-    ("threads", "x", "run.threads must be an integer >= 0"),
-    ("threads", -3, "run.threads must be an integer >= 0"),
-    ("threads", 1.5, "run.threads must be an integer >= 0"),
+    ("threads", "x", "run.threads must be an integer >= 1"),
+    ("threads", -3, "run.threads must be an integer >= 1"),
+    ("threads", 1.5, "run.threads must be an integer >= 1"),
+    ("threads", 0, "run.threads must be an integer >= 1"),
 ])
 def test_cli_rejects_bad_run_values(tmp_path, capsys, key, value, needle):
     run = {"t_end": 0.01, "paths": 4}
@@ -537,7 +545,7 @@ def test_cli_rejects_bad_run_values(tmp_path, capsys, key, value, needle):
 def test_cli_rejects_negative_threads_flag(tmp_path, capsys):
     code = cli.main(["moments", "--model", "heat-ou", "--threads=-3",
                      "--out", str(tmp_path / "m")])
-    assert_usage_error(capsys, code, "run.threads must be an integer >= 0, got -3")
+    assert_usage_error(capsys, code, "run.threads must be an integer >= 1, got -3")
 
 
 def test_cli_large_estimates_get_finite_std_errors(tmp_path):

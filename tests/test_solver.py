@@ -15,7 +15,7 @@ from spde import models as sm
 from spde import noise as sn
 from spde import solver as sv
 from spde.errors import (ConfigError, NoiseHelperError, NonfiniteStateError,
-                         UnsupportedModelNormError)
+                         PartnerError, UnsupportedModelNormError)
 
 
 def unit(n, k=0):
@@ -528,6 +528,134 @@ def test_helper_exits_when_its_ends_close_while_a_sibling_runs():
         assert helpers[0].pid is None and helpers[1].pid is not None
     finally:
         sn.stop_helpers(helpers[1:])
+    assert_no_child_left()
+
+
+OU = sm.build_model("heat-ou")
+OU_BASIS = OU.make_basis(2)
+
+
+def ou_run(lo, hi):
+    """A partner's run of block [lo, hi): heat-ou on 2 modes from e1,
+    saving every 5 steps of 1e-3."""
+    return OU, OU_BASIS, sv.start_block(OU, OU_BASIS, unit(2), hi - lo, 1e-3, None, 5)
+
+
+def record_partners(monkeypatch):
+    """The partners run_blocks forks, as a list filled when it forks."""
+    forked, start = [], sv._start_partners
+
+    def spy(partners, *args):
+        try:
+            start(partners, *args)
+        finally:
+            forked.extend(partners)
+    monkeypatch.setattr(sv, "_start_partners", spy)
+    return forked
+
+
+def run_partnered(threads, advance, M=600, steps=400):
+    """run_counted with an ou_run partner: each block's state counts its
+    chunks and the partner's save rows, and finish adds its blow_t."""
+    return sv.run_blocks(M, 0, 2, steps, 1e-3,
+                         lambda lo, hi: {"lo": lo, "chunks": 0, "rows": 0},
+                         advance,
+                         lambda lo, hi, state, blow_t: (lo, state["chunks"],
+                                                        state["rows"], blow_t.shape),
+                         threads=threads, partner=ou_run)
+
+
+def count_partner_chunk(state, chunk, rows):
+    count_chunk(state, chunk)
+    state["rows"] += rows.shape[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_forks_one_partner_per_worker_and_reaps_it(monkeypatch, threads):
+    # each chunk's rows equal those of the same run stepped here, on the
+    # chunk the parent got from its helper
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
+    forked = record_partners(monkeypatch)
+
+    def advance(state, chunk, rows):
+        if "run" not in state:
+            state["run"] = ou_run(state["lo"], state["lo"] + chunk.shape[1])[2]
+        here = sv._advance_block(OU, OU_BASIS, state["run"], chunk)
+        assert rows.shape == here.shape and np.array_equal(rows, here)
+        count_partner_chunk(state, chunk, rows)
+    with deadline(60):
+        got = run_partnered(threads, advance)
+    # 80 saves past the initial row; chunks of 5 steps, and of 14 for the
+    # 88-path tail block
+    assert got == [(0, 80, 81, (256,)), (256, 80, 81, (256,)), (512, 29, 81, (88,))]
+    assert len(forked) == threads
+    assert all(p.pid is None for p in forked)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_reaps_partners_when_a_callback_raises(monkeypatch, threads):
+    # block 1 stops on its second chunk while its helper and partner are
+    # far from done
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
+
+    def advance(state, chunk, rows):
+        count_partner_chunk(state, chunk, rows)
+        if state["lo"] == 256 and state["chunks"] == 2:
+            raise ConfigError("stop in block 1")
+    with deadline(60), pytest.raises(ConfigError, match="stop in block 1"):
+        run_partnered(threads, advance)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_raises_when_a_partner_is_killed(monkeypatch, threads):
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
+    forked = record_partners(monkeypatch)
+
+    def advance(state, chunk, rows):
+        count_partner_chunk(state, chunk, rows)
+        if state["lo"] == 0 and state["chunks"] == 1:
+            os.kill(forked[0].pid, signal.SIGKILL)
+    with deadline(60), pytest.raises(PartnerError, match="exit status -9"):
+        run_partnered(threads, advance)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_raises_when_a_partner_run_fails(monkeypatch, threads):
+    # only the partners step: the parent's advance just counts
+    def broken(model, basis, run, increments):
+        raise ValueError(f"no step for {run.c.shape[0]} paths")
+    monkeypatch.setattr(sv, "_advance_block", broken)
+    with deadline(60), pytest.raises(PartnerError,
+                                     match="exit status 1.*no step for 256 paths"):
+        run_partnered(threads, count_partner_chunk)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_helper_exits_when_its_ends_close_while_a_partner_runs(monkeypatch, threads):
+    # each partner is forked holding copies of the parent's ends of every
+    # helper; unless it drops them, no helper sees the parent stop.  The
+    # helpers are stopped while the partners still run, and both have far
+    # more chunks left than a ring or a pipe holds.
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
+    forked, stop = record_partners(monkeypatch), sn.stop_helpers
+    running = []
+
+    def spy(helpers):
+        running.extend(os.waitpid(p.pid, os.WNOHANG) == (0, 0) for p in forked)
+        stop(helpers)
+    monkeypatch.setattr(sn, "stop_helpers", spy)
+
+    def advance(state, chunk, rows):
+        count_partner_chunk(state, chunk, rows)
+        if state["chunks"] == 2:
+            raise ConfigError("stop early")
+    with deadline(60), pytest.raises(ConfigError, match="stop early"):
+        run_partnered(threads, advance, steps=10 ** 5)
+    assert running == [True] * threads
     assert_no_child_left()
 
 
