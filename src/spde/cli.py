@@ -22,7 +22,7 @@ from . import diagnostics as dg
 from . import noise as sn
 from . import solver as sv
 from .config import FLAGS, initial_coefficients, load_config
-from .errors import NonfiniteStateError, SpdeError
+from .errors import ConfigError, NonfiniteStateError, SpdeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,7 +58,10 @@ def _write_summary(out_dir, payload):
 
 def run(cfg):
     """Dispatch a validated config; returns the process exit code."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:    # a file where the directory or a parent should be
+        raise ConfigError(f"out: cannot make directory {cfg.out_dir}: {e.strerror}")
     model = cfg.build_model()
     basis = cfg.build_basis(model)
     run_sec, exp = cfg.run, cfg.experiment

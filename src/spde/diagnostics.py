@@ -11,9 +11,10 @@ next chunk, as running maxima (moments, continuity, uniqueness) or as
 per-row values integrated at the block's end (moments, converge,
 equicontinuity), so memory does not grow with the number of saves
 either.
-Converge steps its finest level on a partner process beside each block
-worker (solver.run_blocks), which sends that level's save rows and
-blow-up times back chunk by chunk; the parent steps the other levels.
+Converge steps its coarser levels on each block worker's noise helper
+process (solver.run_blocks), on the normals the helper draws; the helper
+sends their save rows and blow-up times back chunk by chunk, and the
+worker steps the finest level.
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -263,8 +264,9 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
     stayed finite at every level; the others are counted in n_blown
     (_survivor_rows).  Blocks of paths run on `threads` workers
     (solver.run_blocks); the table does not depend on the count.  Each
-    worker steps every level but the finest, which its partner process
-    steps on the same noise; its rows enter the last Cauchy pair.
+    worker steps the finest level on the noise its helper process has
+    drawn, and the helper steps every other level on the same normals;
+    their rows enter the Cauchy pairs beside the worker's.
     """
     alpha = alpha if alpha is not None else model.alpha
     levels = sorted(n_levels)
@@ -278,30 +280,30 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
         return sv.start_block(model, bases[n], x0, hi - lo, dt, stepper, save_every)
 
     def start(lo, hi):
-        # the finest level runs on the block's partner process
-        runs = {n: start_level(n, lo, hi) for n in below}
         # per level pair, the (k, rows) values of each chunk's save rows
-        return runs, [[] for _ in below]
+        return start_level(top, lo, hi), [[] for _ in below]
 
-    def advance(state, chunk, top_rows):
-        runs, parts = state
-        rows = {n: sv._advance_block(model, bases[n], runs[n], chunk) for n in below}
-        rows[top] = top_rows
+    def coarser(lo, hi):
+        # the levels the block's helper process steps
+        return [(model, bases[n], start_level(n, lo, hi)) for n in below]
+
+    def advance(state, chunk, below_rows):
+        run, parts = state
+        rows = dict(zip(below, below_rows))
+        rows[top] = sv._advance_block(model, bases[top], run, chunk)
         for out, a, bn in zip(parts, below, levels[1:]):
             diff = rows[bn].copy()
             diff[:, :, :a] -= rows[a]
             out.append(_shift_power(diff, alpha))
 
-    def finish(lo, hi, state, top_blow_t):
-        runs, parts = state
+    def finish(lo, hi, state, below_blow_t):
+        run, parts = state
         return ([_trapezoid(out, save_dt) for out in parts],
-                np.fmin(_first_blowups(runs.values()), top_blow_t))
+                np.fmin.reduce([*below_blow_t, run.blow_t]))
 
     return _table("converge", below,
                   sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
-                                threads=threads,
-                                partner=lambda lo, hi: (model, bases[top],
-                                                        start_level(top, lo, hi))),
+                                threads=threads, partner=coarser),
                   alpha=alpha, levels=list(map(int, levels)))
 
 

@@ -59,4 +59,5 @@ class NoiseHelperError(SpdeError):
 
 
 class PartnerError(SpdeError):
-    """A partner process ended before writing all of its blocks' rows."""
+    """A noise helper with a stepping job ended before writing all of its
+    blocks' rows."""

@@ -25,23 +25,35 @@ the path's slice of the ready slot, read with os.preadv into a staging
 buffer of one slice.  The sqrt(dt) scaling, the time-major layout and
 every bit are those of the generators drawn in process.  A chunk lives
 in a ring slot, resident in the helper, until the parent has copied it
-into `out`, so the parent holds one chunk and one slice of noise.  A
-helper exits through os._exit: after its last chunk, on end of file of
-the "free" pipe when the parent stops early or dies, or on an error,
-which it writes to "ready".  `stop_helpers` reaps it.
+into `out`, so the parent holds one chunk and one slice of noise.
+
+A helper may also have a stepping job (converge's coarser Galerkin
+levels).  Once it has drawn the next chunk, it scales each chunk in its
+own slot by sqrt(dt), so it steps on the increments the parent reads,
+bit for bit, and writes the job's arrays to a third pipe, "rows",
+pickled (the parent reads them with NoiseHelper.receive).  So each
+block's noise is drawn once.  A helper
+exits through os._exit: after its last chunk, on end of file of the
+"free" pipe or a failed write when the parent stops early or dies, or on
+an error, which it writes to "ready" whichever pipe the parent reads.
+`stop_helpers` reaps it.
 """
 
+import fcntl
 import math
 import mmap
 import os
+import pickle
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndivisibleFactorError, InvalidDimensionError, NoiseHelperError
+from .errors import (IndivisibleFactorError, InvalidDimensionError, NoiseHelperError,
+                     PartnerError)
 
 CHUNK_NORMALS = 2 ** 19     # normals per streamed chunk: 4 MiB of float64
+ROWS_PIPE_BYTES = 2 ** 20   # a helper's "rows" pipe: several chunks of rows
 
 
 @dataclass(frozen=True)
@@ -150,12 +162,15 @@ class _Reader:
 class NoiseHelper:
     """The parent's end of one helper process: its pid (None once
     reaped), the ring file of two slots of `slot` normals, the "ready"
-    pipe it reads and the "free" pipe it writes."""
+    pipe it reads, the "free" pipe it writes and, for a helper with a
+    job, the "rows" pipe it reads the job's arrays from."""
 
-    def __init__(self, pid, ring, slot, ready, free, staging):
+    def __init__(self, pid, ring, slot, ready, free, staging, rows):
         self.pid, self.ring, self.slot = pid, ring, slot
         self.ready, self.free = ready, free
+        self.rows = None if rows is None else open(rows, "rb")
         self.staging = staging     # one path's slice of a chunk
+        self.error = NoiseHelperError if rows is None else PartnerError
         self.s = 0                 # the slot read next
 
     def readers(self, paths):
@@ -169,10 +184,10 @@ class NoiseHelper:
         if i == 0:
             said = os.read(self.ready, 1)
             if said != b"\0":
-                self._died(os.read(self.ready, 4096).decode() if said else "")
+                self._died(said)
         out = self.staging[:n]
         if os.preadv(self.ring, [out], (self.s * self.slot + i * n) * 8) != 8 * n:
-            raise NoiseHelperError("noise helper ring is short of a chunk")
+            raise self.error("noise helper ring is short of a chunk")
         if i == paths - 1:
             try:
                 os.write(self.free, b"\0")
@@ -181,23 +196,45 @@ class NoiseHelper:
             self.s ^= 1
         return out.reshape(shape)
 
-    def _died(self, why):
+    def receive(self):
+        """The next list of arrays the helper's job wrote."""
+        try:
+            return pickle.load(self.rows)
+        except (EOFError, pickle.UnpicklingError):
+            self._died()
+
+    def _died(self, said=b""):
+        """Reap the helper and raise its error, with the message it wrote
+        to "ready" after "!", whichever pipe the parent was reading."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        raise NoiseHelperError(
+        said += b"".join(iter(lambda: os.read(self.ready, 65536), b""))
+        why = said.partition(b"!")[2].decode(errors="replace")
+        raise self.error(
             f"noise helper ended before its last chunk (exit status "
             f"{os.waitstatus_to_exitcode(status)}){': ' + why if why else ''}")
 
     def close(self):
         for fd in (self.ready, self.free, self.ring):
             os.close(fd)
+        if self.rows is not None:
+            self.rows.close()
 
 
-def start_helpers(seed, m_modes, n_steps, span_lists, multiple=1):
+def start_helpers(seed, m_modes, n_steps, span_lists, multiple=1, job=None):
     """Fork one helper per list of block spans [(lo, hi), ...] and return
     their NoiseHelpers.  Helper w draws the blocks of span_lists[w] in
     order, chunked as stream_block chunks them, and those blocks are to
-    be streamed in that order with helper w."""
+    be streamed in that order with helper w.
+
+    With `job`, a pair (dt, block), each helper also steps: block(lo, hi)
+    returns (step, ends) for block [lo, hi).  Once it has drawn the next
+    chunk, the helper scales each chunk to dt and passes step a time-major
+    view (k, paths, m_modes) with the values of the chunk stream_block
+    yields; it writes the list of arrays step(chunk) returns to its "rows"
+    pipe, and after a block's last chunk ends().  The parent reads each
+    list with NoiseHelper.receive.  Such a helper raises PartnerError when
+    it dies, one without a job NoiseHelperError."""
     helpers = []
     try:
         for spans in span_lists:
@@ -210,33 +247,48 @@ def start_helpers(seed, m_modes, n_steps, span_lists, multiple=1):
             os.ftruncate(ring, 2 * slot * 8)
             ready_r, ready_w = os.pipe()
             free_r, free_w = os.pipe()
+            rows_r = rows_w = None
+            if job:
+                rows_r, rows_w = os.pipe()
+                try:    # one chunk's rows must not hold the helper's steps back
+                    fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, ROWS_PIPE_BYTES)
+                except (AttributeError, OSError):
+                    pass
             pid = os.fork()
             if pid == 0:
-                # the parent's ends, of this helper and of those forked
-                # before it: a helper holding another's "free" end would
-                # keep that one from seeing the parent stop
-                parent_ends = [ready_r, free_w] + [fd for h in helpers for fd in
-                                                   (h.ready, h.free, h.ring)]
-                _helper_main(parent_ends, ring, slot, ready_w, free_r,
+                _helper_main(helpers, (ready_r, free_w, rows_r), ring, slot,
+                             ready_w, free_r, rows_w, job,
                              (seed, m_modes, n_steps, multiple, spans))
-            os.close(ready_w)
-            os.close(free_r)
-            helpers.append(NoiseHelper(pid, ring, slot, ready_r, free_w, staging))
+            for fd in (ready_w, free_r, rows_w):
+                if fd is not None:
+                    os.close(fd)
+            helpers.append(NoiseHelper(pid, ring, slot, ready_r, free_w, staging, rows_r))
     except BaseException:
         stop_helpers(helpers)
         raise
     return helpers
 
 
-def _helper_main(parent_ends, ring, slot, ready, free, job):
+def _helper_main(helpers, parent_ends, ring, slot, ready, free, rows, job, draw):
     """A helper process from fork to os._exit: exit status 0 when it has
-    drawn its blocks or the parent has stopped, else 1, after writing
-    "!" and the error to `ready`."""
+    drawn (and stepped) its blocks or the parent has stopped, else 1,
+    after writing "!" and the error to `ready`."""
     code = 1
     try:
+        # the parent's ends, of this helper and of those forked before it:
+        # a helper holding another's "free" or "rows" end would keep that
+        # one from seeing the parent stop
+        for h in helpers:
+            h.close()
         for fd in parent_ends:
-            os.close(fd)
-        _draw_ahead(ring, slot, ready, free, *job)
+            if fd is not None:
+                os.close(fd)
+        chunks = _draw_ahead(ring, slot, ready, free, *draw)
+        if job is None:
+            for _ in chunks:
+                pass
+        else:
+            _step_behind(chunks, open(rows, "wb"), slot, draw[2], *job)
         code = 0
     except BaseException as e:
         try:
@@ -250,8 +302,10 @@ def _helper_main(parent_ends, ring, slot, ready, free, job):
 def _draw_ahead(ring, slot, ready, free, seed, m_modes, n_steps, multiple, spans):
     """Fill the two slots in turn with each chunk's raw normals, path-major,
     and write a byte to `ready` per slot; refill a slot only after reading
-    its byte from `free`.  Returns after the last block, or early once the
-    parent has closed its ends."""
+    its byte from `free`.  Yields (lo, hi, t, drawn) once chunk t of block
+    [lo, hi) is ready, `drawn` being its slot as (paths, k, m_modes).
+    Returns after the last block, or early once the parent has closed its
+    ends."""
     slots = np.frombuffer(mmap.mmap(ring, 2 * slot * 8), dtype=np.float64)
     slots = slots.reshape(2, slot)
     s, credit = 0, 2
@@ -270,14 +324,36 @@ def _draw_ahead(ring, slot, ready, free, seed, m_modes, n_steps, multiple, spans
                 os.write(ready, b"\0")
             except BrokenPipeError:
                 return
+            yield lo, hi, t, slots[s, :(hi - lo) * n].reshape(hi - lo, -1, m_modes)
             s ^= 1
+
+
+def _step_behind(chunks, out, slot, n_steps, dt, block):
+    """Step each chunk of `chunks` once the next one is drawn, so that the
+    parent never waits for a draw behind a step, and write what the job
+    returns to `out`."""
+    buf = np.empty(slot)
+    ahead = next(chunks, None)
+    while ahead is not None:
+        (lo, hi, t, drawn), ahead = ahead, next(chunks, None)
+        if t == 0:
+            step, ends = block(lo, hi)
+        k = drawn.shape[1]
+        # sample_block's values: each normal times sqrt(dt); the steps use
+        # the increments elementwise, so the layout leaves every bit alone
+        chunk = np.multiply(drawn, np.sqrt(dt), out=buf[:drawn.size].reshape(drawn.shape))
+        chunk = chunk.transpose(1, 0, 2)
+        pickle.dump(step(chunk), out, protocol=5)
+        if t + k == n_steps:
+            pickle.dump(ends(), out, protocol=5)
+        out.flush()
 
 
 def stop_helpers(helpers):
     """Close the parent's ends of every helper, then reap each: a helper
-    waiting for a free slot sees end of file and one still drawing fails
-    its next "ready" write, so each returns.  Closing them all before the
-    first wait keeps a helper from waiting on a sibling."""
+    waiting for a free slot sees end of file and one still drawing or
+    writing rows fails its next write, so each returns.  Closing them all
+    before the first wait keeps a helper from waiting on a sibling."""
     for h in helpers:
         h.close()
     for h in helpers:

@@ -20,16 +20,13 @@ and in `out` until the next chunk overwrites it.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
 and finish the block once its noise buffer is dropped.
 
-An experiment that steps several runs per block can hand one of them to
-a partner: then each block worker also has one partner process, forked
-after the helpers and before any worker starts.  The partner sets up
-that run of each of the worker's blocks itself, draws the block's noise
-in process (stream_block with no helper, which gives the same bits),
-steps the run with `_advance_block` and writes each chunk's save rows,
-then the run's blow-up times, to a pipe; the worker's advance and
-finish callbacks receive them.  So a worker is a thread with one helper
-process, plus one partner process when the experiment passes one.
-Galerkin convergence passes its finest level.
+An experiment that steps several runs per block can hand some of them to
+the helper: the helper then steps them, with `_advance_block`, on the
+normals it has just drawn, and writes each chunk's save rows, then the
+runs' blow-up times, to a pipe; the worker's advance and finish
+callbacks receive them.  So a worker is a thread with one child process,
+and each block's noise is drawn once.  Galerkin convergence hands over
+every level but the finest.
 
 Every run is windowed: `_advance_block` returns the save rows of the
 chunk it stepped through, and a BlockRun keeps only what the next chunk
@@ -61,8 +58,6 @@ transforms can round differently).
 """
 
 import math
-import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,8 +65,7 @@ import numpy as np
 
 from . import basis as sb
 from . import noise as sn
-from .errors import (ConfigError, NonfiniteStateError, PartnerError,
-                     UnsupportedModelNormError)
+from .errors import ConfigError, NonfiniteStateError, UnsupportedModelNormError
 
 BLOCK = 256      # paths per batch; fixed so results never depend on the workers
 
@@ -230,50 +224,52 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
     before any starts, each gets one noise helper process
     (noise.start_helpers) that draws its blocks' noise ahead of the steps.
 
-    With `partner`, a function (lo, hi) -> (model, basis, BlockRun) that
-    sets up one more run of a block, each worker also gets one partner
-    process, forked after the helpers.  A partner takes its worker's
-    blocks in order, draws each block's noise itself, steps the block's
-    run with `_advance_block` and writes each chunk's save rows to a pipe,
-    then the run's blow_t.  Then advance(state, chunk, rows) gets the
-    chunk's rows of that run, and finish(lo, hi, state, blow_t) its
-    blow-up times; a partner that fails or dies raises PartnerError.
+    With `partner`, a function (lo, hi) -> [(model, basis, BlockRun), ...]
+    that sets up the runs of a block a child steps, each worker's helper
+    also steps them, with `_advance_block`, on the chunks it has drawn.
+    Then advance(state, chunk, rows) gets the list of those runs' save
+    rows for the chunk, and finish(lo, hi, state, blow_t) the list of
+    their blow-up times; a helper that fails or dies raises PartnerError.
+    Without helpers (a stub start_helpers returning None for each) the
+    same runs step here.
 
     The callbacks of one block share no state with another's.  They run
     with numpy's overflow and invalid-value warnings off: blown rows are
-    NaN by design, and the experiments count them.  The helpers and
-    partners are reaped before this returns or raises."""
+    NaN by design, and the experiments count them.  The helpers are
+    reaped before this returns or raises."""
     if M < 1:
         raise ConfigError("M must be >= 1")
 
-    def noise(lo, hi, helper=None):
-        return sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi), multiple,
-                               helper)
+    def job(lo, hi):        # the partner's runs: step(chunk) and ends()
+        runs = partner(lo, hi)
+        return (lambda chunk: [_advance_block(m, b, r, chunk) for m, b, r in runs],
+                lambda: [r.blow_t for _, _, r in runs])
 
-    def do_block(span, helper, mate):
+    def do_block(span, helper):
         lo, hi = span
-
-        def got():      # the partner's part of a callback's arguments
-            return () if mate is None else (mate.receive(),)
+        # the partner's part of the callbacks' arguments
+        rows, ends = (lambda chunk: ()), (lambda: ())
+        if partner is not None:
+            step, end = (job(lo, hi) if helper is None
+                         else (lambda chunk: helper.receive(), helper.receive))
+            rows, ends = (lambda chunk: (step(chunk),)), (lambda: (end(),))
         with np.errstate(over="ignore", invalid="ignore"):
             state = start(lo, hi)
-            for chunk in noise(lo, hi, helper):
-                advance(state, chunk, *got())
+            for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
+                                         multiple, helper):
+                advance(state, chunk, *rows(chunk))
             del chunk   # frees the noise buffer before the block-end reductions
-            return finish(lo, hi, state, *got())
+            return finish(lo, hi, state, *ends())
 
     spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
     nw = min(worker_count(threads), len(spans))
     span_lists = [spans[w::nw] for w in range(nw)]
-    helpers = sn.start_helpers(seed, m_modes, n_steps, span_lists, multiple)
-    partners = []
+    helpers = sn.start_helpers(seed, m_modes, n_steps, span_lists, multiple,
+                               job=None if partner is None else (dt, job))
 
     def work(w):
-        return [do_block(span, helpers[w], partners[w] if partners else None)
-                for span in span_lists[w]]
+        return [do_block(span, helpers[w]) for span in span_lists[w]]
     try:
-        if partner is not None:
-            _start_partners(partners, span_lists, partner, noise, helpers)
         if nw == 1:
             done = [work(0)]
         else:
@@ -282,104 +278,6 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
         return [done[j % nw][j // nw] for j in range(len(spans))]
     finally:
         sn.stop_helpers(helpers)
-        _stop_partners(partners)
-
-
-class _Partner:
-    """The parent's end of one partner process: its pid (None once
-    reaped) and the pipe it reads the partner's arrays from."""
-
-    def __init__(self, pid, pipe):
-        self.pid = pid
-        self.pipe = open(pipe, "rb")
-
-    def receive(self):
-        """The next array the partner wrote (_send)."""
-        said = self.pipe.read(2)
-        if len(said) < 2 or said[0] != 0:
-            self._died(said)
-        shape = struct.unpack(f"<{said[1]}q", self._exactly(8 * said[1]))
-        out = np.empty(shape)
-        if self.pipe.readinto(out) != out.nbytes:
-            self._died(b"")
-        return out
-
-    def _exactly(self, n):
-        got = self.pipe.read(n)
-        if len(got) < n:
-            self._died(b"")
-        return got
-
-    def _died(self, said):
-        why = (said[1:] + self.pipe.read()).decode(errors="replace") \
-            if said[:1] == b"!" else ""
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        raise PartnerError(
-            f"partner process ended before its last block (exit status "
-            f"{os.waitstatus_to_exitcode(status)}){': ' + why if why else ''}")
-
-
-def _send(out, a):
-    """Write a C-contiguous float64 array to `out` as a 0 byte, its ndim,
-    its shape and its data."""
-    out.write(bytes([0, a.ndim]) + struct.pack(f"<{a.ndim}q", *a.shape))
-    out.write(a)
-    out.flush()
-
-
-def _start_partners(partners, span_lists, build, noise, helpers):
-    """Fork one partner per list of block spans, appending each to
-    `partners` as it is forked."""
-    for spans in span_lists:
-        pipe, out = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            _partner_main(pipe, out, spans, build, noise, helpers, partners)
-        os.close(out)
-        partners.append(_Partner(pid, pipe))
-
-
-def _partner_main(pipe, fd, spans, build, noise, helpers, partners):
-    """A partner process from fork to os._exit: exit status 0 when it has
-    written every block to `fd`, else 1, after writing "!" and the error
-    there (once the parent has stopped, the next write fails)."""
-    code = 1
-    try:
-        out = open(fd, "wb")
-        # the parent's ends: a partner holding a helper's "free" end, or an
-        # earlier partner's pipe, would keep that one from seeing the
-        # parent stop.  The helpers are not this process's children, so
-        # stop_helpers only closes their ends here.
-        os.close(pipe)
-        for p in partners:
-            p.pipe.close()
-        sn.stop_helpers(helpers)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in spans:
-                model, basis, run = build(lo, hi)
-                for chunk in noise(lo, hi):
-                    _send(out, _advance_block(model, basis, run, chunk))
-                _send(out, run.blow_t)
-        code = 0
-    except BaseException as e:
-        try:
-            os.write(fd, b"!" + repr(e).encode()[:4000])
-        except OSError:
-            pass
-    finally:
-        os._exit(code)
-
-
-def _stop_partners(partners):
-    """Close the parent's end of every partner, then reap each: a partner
-    blocked in a write gets BrokenPipeError and exits."""
-    for p in partners:
-        p.pipe.close()
-    for p in partners:
-        if p.pid is not None:
-            os.waitpid(p.pid, 0)
-            p.pid = None
 
 
 def solve_path(model, basis, x0, noise_path, stepper, t_end, save_dt):

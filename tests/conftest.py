@@ -6,7 +6,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped:
-    solver.run_blocks must reap every noise helper and partner it forks."""
+    solver.run_blocks must reap every noise helper it forks."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -230,7 +230,7 @@ def test_csv_bytes_independent_of_workers_and_blas_threads(tmp_path, monkeypatch
                            env=env, check=True, capture_output=True, timeout=300)
             outs[threads, blas] = (out / csv_name).read_bytes()
     monkeypatch.setattr(sn, "start_helpers",
-                        lambda seed, m, steps, span_lists, multiple=1:
+                        lambda seed, m, steps, span_lists, multiple=1, job=None:
                         [None] * len(span_lists))
     monkeypatch.setattr(sn, "stop_helpers", lambda helpers: None)
     ref = tmp_path / "in-process"
@@ -242,6 +242,17 @@ def assert_usage_error(capsys, code, needle):
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_rejects_out_at_or_under_a_file(tmp_path, capsys, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    code = cli.main(["check", "--model", "heat-ou", "--n-modes", "4",
+                     "--n-samples", "8", "--out", str(out)])
+    assert_usage_error(capsys, code, f"cannot make directory {out}")
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("flags", [

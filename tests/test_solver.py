@@ -517,6 +517,17 @@ def test_run_blocks_raises_when_a_helper_fails(monkeypatch, threads):
     assert_no_child_left()
 
 
+def test_helper_error_cut_inside_a_character_still_raises(monkeypatch):
+    # the helper cuts its message at byte 4000, here inside an "é"
+    def broken(seed, path_id):
+        raise ValueError("x" + "é" * 3000)
+    monkeypatch.setattr(sn, "path_generator", broken)
+    with deadline(60), pytest.raises(NoiseHelperError,
+                                     match=r"exit status 1\): ValueError\('xéé"):
+        run_counted(1, count_chunk)
+    assert_no_child_left()
+
+
 def test_helper_exits_when_its_ends_close_while_a_sibling_runs():
     # helper 1 is forked holding copies of the parent's ends of helper 0;
     # unless it drops them, helper 0 never sees the parent stop.  Both
@@ -536,52 +547,41 @@ OU_BASIS = OU.make_basis(2)
 
 
 def ou_run(lo, hi):
-    """A partner's run of block [lo, hi): heat-ou on 2 modes from e1,
-    saving every 5 steps of 1e-3."""
-    return OU, OU_BASIS, sv.start_block(OU, OU_BASIS, unit(2), hi - lo, 1e-3, None, 5)
-
-
-def record_partners(monkeypatch):
-    """The partners run_blocks forks, as a list filled when it forks."""
-    forked, start = [], sv._start_partners
-
-    def spy(partners, *args):
-        try:
-            start(partners, *args)
-        finally:
-            forked.extend(partners)
-    monkeypatch.setattr(sv, "_start_partners", spy)
-    return forked
+    """A partner's runs of block [lo, hi), which a helper steps: heat-ou
+    on 2 modes from e1, saving every 5 steps of 1e-3."""
+    return [(OU, OU_BASIS, sv.start_block(OU, OU_BASIS, unit(2), hi - lo, 1e-3, None, 5))]
 
 
 def run_partnered(threads, advance, M=600, steps=400):
-    """run_counted with an ou_run partner: each block's state counts its
-    chunks and the partner's save rows, and finish adds its blow_t."""
+    """run_counted with an ou_run partner, which the helpers step: each
+    block's state counts its chunks and the partner's save rows, and
+    finish adds the shape of its blow_t."""
     return sv.run_blocks(M, 0, 2, steps, 1e-3,
                          lambda lo, hi: {"lo": lo, "chunks": 0, "rows": 0},
                          advance,
                          lambda lo, hi, state, blow_t: (lo, state["chunks"],
-                                                        state["rows"], blow_t.shape),
+                                                        state["rows"], blow_t[0].shape),
                          threads=threads, partner=ou_run)
 
 
 def count_partner_chunk(state, chunk, rows):
     count_chunk(state, chunk)
-    state["rows"] += rows.shape[1]
+    state["rows"] += rows[0].shape[1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_forks_one_partner_per_worker_and_reaps_it(monkeypatch, threads):
     # each chunk's rows equal those of the same run stepped here, on the
-    # chunk the parent got from its helper
+    # chunk the parent got from the helper
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
-    forked = record_partners(monkeypatch)
+    forked = record_helpers(monkeypatch)
 
     def advance(state, chunk, rows):
         if "run" not in state:
-            state["run"] = ou_run(state["lo"], state["lo"] + chunk.shape[1])[2]
+            state["run"] = ou_run(state["lo"], state["lo"] + chunk.shape[1])[0][2]
         here = sv._advance_block(OU, OU_BASIS, state["run"], chunk)
-        assert rows.shape == here.shape and np.array_equal(rows, here)
+        assert len(rows) == 1 and rows[0].shape == here.shape
+        assert np.array_equal(rows[0], here)
         count_partner_chunk(state, chunk, rows)
     with deadline(60):
         got = run_partnered(threads, advance)
@@ -589,14 +589,13 @@ def test_run_blocks_forks_one_partner_per_worker_and_reaps_it(monkeypatch, threa
     # 88-path tail block
     assert got == [(0, 80, 81, (256,)), (256, 80, 81, (256,)), (512, 29, 81, (88,))]
     assert len(forked) == threads
-    assert all(p.pid is None for p in forked)
+    assert all(h.pid is None for h in forked)
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_reaps_partners_when_a_callback_raises(monkeypatch, threads):
-    # block 1 stops on its second chunk while its helper and partner are
-    # far from done
+    # block 1 stops on its second chunk while its helper is far from done
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
 
     def advance(state, chunk, rows):
@@ -611,7 +610,7 @@ def test_run_blocks_reaps_partners_when_a_callback_raises(monkeypatch, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_raises_when_a_partner_is_killed(monkeypatch, threads):
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
-    forked = record_partners(monkeypatch)
+    forked = record_helpers(monkeypatch)
 
     def advance(state, chunk, rows):
         count_partner_chunk(state, chunk, rows)
@@ -624,7 +623,7 @@ def test_run_blocks_raises_when_a_partner_is_killed(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_raises_when_a_partner_run_fails(monkeypatch, threads):
-    # only the partners step: the parent's advance just counts
+    # only the helpers step: the parent's advance just counts
     def broken(model, basis, run, increments):
         raise ValueError(f"no step for {run.c.shape[0]} paths")
     monkeypatch.setattr(sv, "_advance_block", broken)
@@ -636,16 +635,17 @@ def test_run_blocks_raises_when_a_partner_run_fails(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_helper_exits_when_its_ends_close_while_a_partner_runs(monkeypatch, threads):
-    # each partner is forked holding copies of the parent's ends of every
-    # helper; unless it drops them, no helper sees the parent stop.  The
-    # helpers are stopped while the partners still run, and both have far
-    # more chunks left than a ring or a pipe holds.
+    # the helpers are stopped while they still step the partner runs, with
+    # far more chunks left than a ring or a pipe holds.  Each helper is
+    # forked holding copies of the parent's ends of the helpers forked
+    # before it; unless it drops them, stop_helpers waits on the first
+    # helper for ever.
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
-    forked, stop = record_partners(monkeypatch), sn.stop_helpers
+    forked, stop = record_helpers(monkeypatch), sn.stop_helpers
     running = []
 
     def spy(helpers):
-        running.extend(os.waitpid(p.pid, os.WNOHANG) == (0, 0) for p in forked)
+        running.extend(os.waitpid(h.pid, os.WNOHANG) == (0, 0) for h in forked)
         stop(helpers)
     monkeypatch.setattr(sn, "stop_helpers", spy)
 
@@ -656,6 +656,46 @@ def test_helper_exits_when_its_ends_close_while_a_partner_runs(monkeypatch, thre
     with deadline(60), pytest.raises(ConfigError, match="stop early"):
         run_partnered(threads, advance, steps=10 ** 5)
     assert running == [True] * threads
+    assert_no_child_left()
+
+
+def test_stepping_helper_exits_when_its_ends_close_while_a_sibling_steps():
+    # helper 1 is forked holding copies of the parent's ends of helper 0,
+    # its "rows" pipe among them; unless it drops them, helper 0 never
+    # sees the parent stop.  Both have far more chunks to step than their
+    # ring and pipe hold.
+    def job(lo, hi):
+        (model, basis, run), = ou_run(lo, hi)
+        return (lambda chunk: [sv._advance_block(model, basis, run, chunk)],
+                lambda: [run.blow_t])
+    helpers = sn.start_helpers(0, 2, 10 ** 5, [[(0, 256)], [(256, 512)]],
+                               job=(1e-3, job))
+    try:
+        with deadline(30):
+            sn.stop_helpers(helpers[:1])
+        assert helpers[0].pid is None and helpers[1].pid is not None
+    finally:
+        sn.stop_helpers(helpers[1:])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_converge_forks_one_child_per_block_worker(monkeypatch, threads):
+    # the helper steps the coarser levels on the normals it draws: no
+    # second child per worker
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    m = sm.build_model("p-laplacian")
+    with deadline(60):
+        dg.galerkin_convergence(m, unit(8), [4, 8], M=600, seed=1, t_end=0.01,
+                                dt=1e-3, save_dt=5e-3, threads=threads)
+    assert len(forks) == threads
     assert_no_child_left()
 
 

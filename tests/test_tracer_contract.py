@@ -59,10 +59,11 @@ def test_tracer_counts_converge_and_moments(tmp_path, tracer):
     counts = run(tmp_path / "c", tracer, ["converge", "--config", str(cfg)])
     assert tracer.missing == []
     assert counts["noise.normals"] == M * steps * max(levels)
-    # the finest level steps on a partner process, out of the wrappers' sight
-    assert counts["solver.path_steps"] == M * steps * (len(levels) - 1)
+    # the coarser levels step on the noise helper process, out of the
+    # wrappers' sight; the parent steps the finest
+    assert counts["solver.path_steps"] == M * steps
     assert 0 < counts["noise.block_mb"] <= noise.CHUNK_NORMALS * 8 / 1e6
-    assert counts["models.apply_A.rows"] == M * steps * (len(levels) - 1)
+    assert counts["models.apply_A.rows"] == M * steps
 
     M, steps, n = 300, 400, 8
     counts = run(tmp_path / "m", tracer,
