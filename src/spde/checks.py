@@ -68,6 +68,13 @@ def _report(condition, margins, scales, fitted, us=None, vs=None, detail=""):
         fitted_constants=dict(fitted), passed=bool(idx.size == 0))
 
 
+def _violations(condition, lhs, rhs, fitted, us=None, vs=None, detail=""):
+    """The report of the inequality lhs <= rhs: margin rhs - lhs on the
+    scale 1 + |lhs| + |rhs|."""
+    return _report(condition, rhs - lhs, 1.0 + np.abs(lhs) + np.abs(rhs), fitted,
+                   us, vs, detail)
+
+
 def _merge(primary, extra):
     """Fold a secondary margin family (side conditions) into a report."""
     primary.n_violations += extra.n_violations
@@ -215,23 +222,16 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
     if variant == "H2prime":
         R = np.maximum(vu, vv)
         K = np.array([hyp.K_R_form(r) for r in R])
-        lhs = pair
-        rhs = K * wh2
-        margins = rhs - lhs
-        scales = 1.0 + np.abs(lhs) + np.abs(rhs)
-        fitted = {"max_K_used": float(np.max(K))}
-        return _report("H2prime", margins, scales, fitted, us, vs)
+        return _violations("H2prime", pair, K * wh2, {"max_K_used": float(np.max(K))},
+                           us, vs)
 
     bdiff = model.b_hs_diff_sq(basis, 0.0, us, vs)
     lhs = 2.0 * pair + bdiff
     rho = _rho_eta(hyp.rho_form, vu, hu)
     eta = _rho_eta(hyp.eta_form, vv, hv)
     rhs = (hyp.f_const + rho + eta) * wh2
-    margins = rhs - lhs
-    scales = 1.0 + np.abs(lhs) + np.abs(rhs)
     worst_f = np.max((lhs - (rho + eta) * wh2) / np.maximum(wh2, 1e-300))
-    fitted = {"fitted_f": float(worst_f)}
-    report = _report(variant, margins, scales, fitted, us, vs)
+    report = _violations(variant, lhs, rhs, {"fitted_f": float(worst_f)}, us, vs)
 
     # side conditions on the declared rho, eta
     alpha = model.alpha
@@ -242,10 +242,9 @@ def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0)
     if variant == "H2":
         side_lhs = rho_all + eta_all
         side_rhs = hyp.mono_C * (1.0 + v_all ** alpha) * (1.0 + h_all ** hyp.gamma)
-        side = _report("H2", side_rhs - side_lhs,
-                       1.0 + np.abs(side_lhs) + np.abs(side_rhs),
-                       {"side_min_margin": float(np.min(side_rhs - side_lhs))},
-                       detail="rho/eta growth bound")
+        side = _violations("H2", side_lhs, side_rhs,
+                           {"side_min_margin": float(np.min(side_rhs - side_lhs))},
+                           detail="rho/eta growth bound")
     else:
         if not hyp.theta < alpha:
             raise IncompleteSpecError(
@@ -278,13 +277,11 @@ def check_coercivity(model, basis, n_samples=1000, seed=0):
         lhs = pair
     coef = hyp.c_coercive
     rhs = hyp.f_const * (1.0 + h2) - coef * vn ** model.alpha
-    margins = rhs - lhs
-    scales = 1.0 + np.abs(lhs) + np.abs(rhs)
     va = vn ** model.alpha
     ok = va > 1e-12
     fitted_c = float(np.min((hyp.f_const * (1.0 + h2[ok]) - lhs[ok]) / va[ok]))
     fitted = {"fitted_c": fitted_c, "declared_c": float(coef)}
-    return _report(variant, margins, scales, fitted, us)
+    return _violations(variant, lhs, rhs, fitted, us)
 
 
 def check_growth(model, basis, n_samples=1000, seed=0):
@@ -308,13 +305,11 @@ def check_growth(model, basis, n_samples=1000, seed=0):
     else:
         rhs = hyp.f_const * (1.0 + hn ** (2.0 + hyp.beta)) \
             + hyp.growth_C * vn ** model.alpha * (1.0 + hn ** hyp.beta)
-    margins = rhs - lhs
-    scales = 1.0 + np.abs(lhs) + np.abs(rhs)
     va = vn ** model.alpha * (1.0 + hn ** hyp.beta)
     ok = va > 1e-12
     fitted_C = float(np.max(np.maximum(lhs[ok] / va[ok] - hyp.f_const / va[ok], 0.0)))
     fitted = {"fitted_C": fitted_C, "declared_C": float(hyp.growth_C)}
-    return _report(variant, margins, scales, fitted, us)
+    return _violations(variant, lhs, rhs, fitted, us)
 
 
 def check_noise(model, basis, n_samples=1000, seed=0):
@@ -331,8 +326,6 @@ def check_noise(model, basis, n_samples=1000, seed=0):
     rhs = hyp.g_const * (1.0 + h2)
     if variant == "H5star":
         rhs = rhs + hyp.L_B * vn ** model.alpha
-    margins = rhs - bsq
-    scales = 1.0 + np.abs(bsq) + np.abs(rhs)
     va = vn ** model.alpha
     ok = va > 1e-12
     fitted = {"fitted_g": float(np.max(bsq / (1.0 + h2)))}
@@ -340,7 +333,7 @@ def check_noise(model, basis, n_samples=1000, seed=0):
         fitted["fitted_L_B"] = float(np.max(np.maximum(
             (bsq[ok] - hyp.g_const * (1.0 + h2[ok])) / va[ok], 0.0)))
         fitted["declared_L_B"] = float(hyp.L_B)
-    report = _report(variant, margins, scales, fitted, us)
+    report = _violations(variant, bsq, rhs, fitted, us)
 
     if variant == "H5":
         # H-continuity: B along H-converging sequences u_j -> u

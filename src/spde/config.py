@@ -209,6 +209,9 @@ def load_config(path=None, flags=None):
             raise ConfigError("config root must be a JSON object")
     _reject_unknown("", doc, {"command", "out_dir", *_SECTIONS})
 
+    for s in _SECTIONS:
+        if not isinstance(doc.get(s, {}), dict):
+            raise ConfigError(f"{s} must be a JSON object, got {doc[s]!r}")
     sections = {s: dict(doc.get(s, {})) for s in _SECTIONS}
     sections[None] = {"command": doc.get("command"),
                       "out_dir": doc.get("out_dir", _DEFAULTS["out_dir"])}
@@ -217,6 +220,8 @@ def load_config(path=None, flags=None):
         value = flags.get(name.lstrip("-").replace("-", "_"))
         if value is not None:
             sections[section][key] = value
+    if not isinstance(sections[None]["out_dir"], str):
+        raise ConfigError(f"out_dir must be a string, got {sections[None]['out_dir']!r}")
     model_sec, basis_sec, run_sec, exp_sec = (sections[s] for s in _SECTIONS)
     command = sections[None]["command"]
 
@@ -226,6 +231,8 @@ def load_config(path=None, flags=None):
     name = model_sec.pop("name", None)
     if name is None:
         raise ConfigError("model.name is required")
+    if not isinstance(name, str):
+        raise ConfigError(f"model.name must be a string, got {name!r}")
     if name not in MODELS:
         raise ConfigError(f"unknown model {name!r}")
     _reject_unknown("model", model_sec, inspect.signature(MODELS[name]).parameters)
@@ -293,7 +300,7 @@ def load_config(path=None, flags=None):
 
     return ExperimentConfig(command=command, model=model,
                             model_params=model_sec, basis=basis, run=run,
-                            experiment=exp_sec, out_dir=str(sections[None]["out_dir"]))
+                            experiment=exp_sec, out_dir=sections[None]["out_dir"])
 
 
 def initial_coefficients(x0, n_modes):

@@ -5,16 +5,16 @@ DiagnosticTable: keyed Monte Carlo estimates with standard errors and,
 where a rate is asserted, a log-log fit.  Each runs its paths in blocks
 through solver.run_blocks and reduces a block to per-path statistics
 before it lets the block go, so memory is bounded in the path count M.
-Every run is windowed: solver._advance_block returns each chunk's save
-rows, and the experiment folds them into per-path scalars before the
-next chunk, as running maxima (moments, continuity, uniqueness) or as
-per-row values integrated at the block's end (moments, converge,
+Every run is windowed: BlockRun.advance (solver) returns each chunk's
+save rows, and the experiment folds them into per-path scalars before
+the next chunk, as running maxima (moments, continuity, uniqueness) or
+as per-row values integrated at the block's end (moments, converge,
 equicontinuity), so memory does not grow with the number of saves
 either.
 Converge steps its coarser levels on each block worker's noise helper
 process (solver.run_blocks), on the normals the helper draws; the helper
-sends their save rows and blow-up times back chunk by chunk, and the
-worker steps the finest level.
+sends their save rows and blow-up times so far in one message per
+chunk, and the worker steps the finest level.
 Exploded paths are discarded and counted rather than truncated by
 stopping times; the count is itself part of the diagnostic
 (_survivor_rows).  sup over [0, T] is read on the save grid, time
@@ -175,7 +175,7 @@ def moment_report(model, basis, x0, p, alpha, M, seed, t_end, dt, save_dt,
 
     def advance(state, chunk):
         run, top, parts = state
-        rows = sv._advance_block(model, basis, run, chunk)
+        rows = run.advance(chunk)
         np.maximum(top, _row_max(np.linalg.norm(rows, axis=-1)), out=top)
         parts.append(sb.v_norm(basis, model, rows) ** alpha)
 
@@ -231,8 +231,7 @@ def equicontinuity_statistic(model, basis, x0, delta_list, alpha, M, seed, t_end
 
     def advance(state, chunk):
         run, tail, parts = state
-        rows = np.concatenate([tail, sv._advance_block(model, basis, run, chunk)],
-                              axis=1)
+        rows = np.concatenate([tail, run.advance(chunk)], axis=1)
         for out, k in zip(parts, shifts):
             # the pairs (i - k, i) whose later row i came in this chunk
             first = max(tail.shape[1], k)
@@ -280,30 +279,32 @@ def galerkin_convergence(model, x0, n_levels, M, seed, t_end, dt, save_dt,
         return sv.start_block(model, bases[n], x0, hi - lo, dt, stepper, save_every)
 
     def start(lo, hi):
-        # per level pair, the (k, rows) values of each chunk's save rows
-        return start_level(top, lo, hi), [[] for _ in below]
+        # the finest level's run, per level pair the (k, rows) values of each
+        # chunk's save rows, and the coarser levels' latest blow-up times
+        return [start_level(top, lo, hi), [[] for _ in below], ()]
 
     def coarser(lo, hi):
         # the levels the block's helper process steps
-        return [(model, bases[n], start_level(n, lo, hi)) for n in below]
+        return [start_level(n, lo, hi) for n in below]
 
-    def advance(state, chunk, below_rows):
-        run, parts = state
+    def advance(state, chunk, stepped):
+        run, parts, _ = state
+        below_rows, state[2] = zip(*stepped)
         rows = dict(zip(below, below_rows))
-        rows[top] = sv._advance_block(model, bases[top], run, chunk)
+        rows[top] = run.advance(chunk)
         for out, a, bn in zip(parts, below, levels[1:]):
             diff = rows[bn].copy()
             diff[:, :, :a] -= rows[a]
             out.append(_shift_power(diff, alpha))
 
-    def finish(lo, hi, state, below_blow_t):
-        run, parts = state
+    def finish(lo, hi, state):
+        run, parts, below_blow_t = state
         return ([_trapezoid(out, save_dt) for out in parts],
                 np.fmin.reduce([*below_blow_t, run.blow_t]))
 
     return _table("converge", below,
                   sv.run_blocks(M, seed, m_fine, steps, dt, start, advance, finish,
-                                threads=threads, partner=coarser),
+                                threads=threads, helper_runs=coarser),
                   alpha=alpha, levels=list(map(int, levels)))
 
 
@@ -326,9 +327,9 @@ def initial_data_continuity(model, basis, x, direction, perturbation_sizes, p,
 
     def advance(state, chunk):
         (base, *perts), tops = state
-        base_rows = sv._advance_block(model, basis, base, chunk)
+        base_rows = base.advance(chunk)
         for top, run in zip(tops, perts):
-            diff = sv._advance_block(model, basis, run, chunk) - base_rows
+            diff = run.advance(chunk) - base_rows
             np.maximum(top, _row_max(np.linalg.norm(diff, axis=-1)), out=top)
 
     def finish(lo, hi, state):
@@ -387,7 +388,7 @@ def uniqueness_probe(model, basis, x0, M, seed, dt_levels, t_end, save_dt=None,
         runs, tops = state
         coarse = sn.coarsen_chunk(chunk, factors)
         for d, pair in pairs.items():
-            first, second = (sv._advance_block(model, basis, run, coarse[f])
+            first, second = (run.advance(coarse[f])
                              for run, (_, f, _, _) in zip(runs[d], pair))
             diff = first - second
             np.maximum(tops[d], _row_max(np.sum(diff * diff, axis=-1)), out=tops[d])

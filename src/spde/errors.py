@@ -55,9 +55,5 @@ class ConfigError(SpdeError):
 
 
 class NoiseHelperError(SpdeError):
-    """A noise helper process ended before drawing all of its chunks."""
-
-
-class PartnerError(SpdeError):
-    """A noise helper with a stepping job ended before writing all of its
-    blocks' rows."""
+    """A noise helper process ended before drawing (and, with a stepping
+    job, stepping) all of its chunks."""

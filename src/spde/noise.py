@@ -30,9 +30,9 @@ into `out`, so the parent holds one chunk and one slice of noise.
 A helper may also have a stepping job (converge's coarser Galerkin
 levels).  Once it has drawn the next chunk, it scales each chunk in its
 own slot by sqrt(dt), so it steps on the increments the parent reads,
-bit for bit, and writes the job's arrays to a third pipe, "rows",
-pickled (the parent reads them with NoiseHelper.receive).  So each
-block's noise is drawn once.  A helper
+bit for bit, and writes one message per chunk, what the job returns, to
+a third pipe, "rows", pickled (the parent reads it with
+NoiseHelper.receive).  So each block's noise is drawn once.  A helper
 exits through os._exit: after its last chunk, on end of file of the
 "free" pipe or a failed write when the parent stops early or dies, or on
 an error, which it writes to "ready" whichever pipe the parent reads.
@@ -49,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IndivisibleFactorError, InvalidDimensionError, NoiseHelperError,
-                     PartnerError)
+from .errors import IndivisibleFactorError, InvalidDimensionError, NoiseHelperError
 
 CHUNK_NORMALS = 2 ** 19     # normals per streamed chunk: 4 MiB of float64
 ROWS_PIPE_BYTES = 2 ** 20   # a helper's "rows" pipe: several chunks of rows
@@ -170,7 +169,6 @@ class NoiseHelper:
         self.ready, self.free = ready, free
         self.rows = None if rows is None else open(rows, "rb")
         self.staging = staging     # one path's slice of a chunk
-        self.error = NoiseHelperError if rows is None else PartnerError
         self.s = 0                 # the slot read next
 
     def readers(self, paths):
@@ -187,7 +185,7 @@ class NoiseHelper:
                 self._died(said)
         out = self.staging[:n]
         if os.preadv(self.ring, [out], (self.s * self.slot + i * n) * 8) != 8 * n:
-            raise self.error("noise helper ring is short of a chunk")
+            raise NoiseHelperError("noise helper ring is short of a chunk")
         if i == paths - 1:
             try:
                 os.write(self.free, b"\0")
@@ -197,7 +195,7 @@ class NoiseHelper:
         return out.reshape(shape)
 
     def receive(self):
-        """The next list of arrays the helper's job wrote."""
+        """The next message the helper's job wrote: one per chunk."""
         try:
             return pickle.load(self.rows)
         except (EOFError, pickle.UnpicklingError):
@@ -210,7 +208,7 @@ class NoiseHelper:
         self.pid = None
         said += b"".join(iter(lambda: os.read(self.ready, 65536), b""))
         why = said.partition(b"!")[2].decode(errors="replace")
-        raise self.error(
+        raise NoiseHelperError(
             f"noise helper ended before its last chunk (exit status "
             f"{os.waitstatus_to_exitcode(status)}){': ' + why if why else ''}")
 
@@ -228,13 +226,12 @@ def start_helpers(seed, m_modes, n_steps, span_lists, multiple=1, job=None):
     be streamed in that order with helper w.
 
     With `job`, a pair (dt, block), each helper also steps: block(lo, hi)
-    returns (step, ends) for block [lo, hi).  Once it has drawn the next
-    chunk, the helper scales each chunk to dt and passes step a time-major
-    view (k, paths, m_modes) with the values of the chunk stream_block
-    yields; it writes the list of arrays step(chunk) returns to its "rows"
-    pipe, and after a block's last chunk ends().  The parent reads each
-    list with NoiseHelper.receive.  Such a helper raises PartnerError when
-    it dies, one without a job NoiseHelperError."""
+    returns step for block [lo, hi).  Once it has drawn the next chunk,
+    the helper scales each chunk to dt and passes step a time-major view
+    (k, paths, m_modes) with the values of the chunk stream_block yields;
+    it writes what step(chunk) returns to its "rows" pipe, one message per
+    chunk, which the parent reads with NoiseHelper.receive.  A helper
+    that dies raises NoiseHelperError in the parent."""
     helpers = []
     try:
         for spans in span_lists:
@@ -288,7 +285,7 @@ def _helper_main(helpers, parent_ends, ring, slot, ready, free, rows, job, draw)
             for _ in chunks:
                 pass
         else:
-            _step_behind(chunks, open(rows, "wb"), slot, draw[2], *job)
+            _step_behind(chunks, open(rows, "wb"), slot, *job)
         code = 0
     except BaseException as e:
         try:
@@ -328,24 +325,21 @@ def _draw_ahead(ring, slot, ready, free, seed, m_modes, n_steps, multiple, spans
             s ^= 1
 
 
-def _step_behind(chunks, out, slot, n_steps, dt, block):
+def _step_behind(chunks, out, slot, dt, block):
     """Step each chunk of `chunks` once the next one is drawn, so that the
     parent never waits for a draw behind a step, and write what the job
-    returns to `out`."""
+    returns for it to `out`."""
     buf = np.empty(slot)
     ahead = next(chunks, None)
     while ahead is not None:
         (lo, hi, t, drawn), ahead = ahead, next(chunks, None)
         if t == 0:
-            step, ends = block(lo, hi)
-        k = drawn.shape[1]
+            step = block(lo, hi)
         # sample_block's values: each normal times sqrt(dt); the steps use
         # the increments elementwise, so the layout leaves every bit alone
         chunk = np.multiply(drawn, np.sqrt(dt), out=buf[:drawn.size].reshape(drawn.shape))
         chunk = chunk.transpose(1, 0, 2)
         pickle.dump(step(chunk), out, protocol=5)
-        if t + k == n_steps:
-            pickle.dump(ends(), out, protocol=5)
         out.flush()
 
 

@@ -18,17 +18,20 @@ into a two-slot ring; the step loop only copies each chunk into its
 buffer `out` and scales it.  A chunk lives in a ring slot until it is copied,
 and in `out` until the next chunk overwrites it.  An experiment supplies
 three callbacks: start a block's runs, advance them through one chunk,
-and finish the block once its noise buffer is dropped.
+and finish the block once its noise buffer is dropped.  Once one worker
+raises, or the calling thread is interrupted, every other worker stops
+at its next chunk.
 
-An experiment that steps several runs per block can hand some of them to
-the helper: the helper then steps them, with `_advance_block`, on the
-normals it has just drawn, and writes each chunk's save rows, then the
-runs' blow-up times, to a pipe; the worker's advance and finish
-callbacks receive them.  So a worker is a thread with one child process,
-and each block's noise is drawn once.  Galerkin convergence hands over
-every level but the finest.
+Every run is a BlockRun, and every layer steps it the one way,
+BlockRun.advance.  An experiment that steps several runs per block can
+hand some of them to the helper: the helper then advances them on the
+normals it has just drawn and writes, per chunk, one message of their
+save rows and blow-up times so far to a pipe, which the worker's advance
+callback receives.  So a worker is a thread with one child process, and
+each block's noise is drawn once.  Galerkin convergence hands over every
+level but the finest.
 
-Every run is windowed: `_advance_block` returns the save rows of the
+Every run is windowed: BlockRun.advance returns the save rows of the
 chunk it stepped through, and a BlockRun keeps only what the next chunk
 needs (the state, the blow-up times and the step count).  The callers
 fold each chunk's rows into per-path scalars, so no block holds a save
@@ -48,7 +51,7 @@ in one place and a model that defines only those two methods steps
 as it is.  The arithmetic, and so every bit, is that of the same
 expressions on (n,) constants.
 
-`_advance_block` carries a block's state from chunk to chunk, so memory
+BlockRun.advance carries a block's state from chunk to chunk, so memory
 holds one chunk rather than the block's whole noise.  Chunks fed in
 order give the same bits as a single chunk holding every step.  The
 fixed BLOCK keeps a path's arithmetic independent of the number of
@@ -58,7 +61,8 @@ transforms can round differently).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +142,7 @@ class BlockRun:
     `_advance_block` carries from one chunk of increments to the next."""
 
     model: object              # the model as prepared for the block's basis and M
+    basis: object
     c: np.ndarray              # (M, n) current coefficients
     blow_t: np.ndarray         # (M,) blow-up times, NaN while finite
     dt: float
@@ -153,6 +158,10 @@ class BlockRun:
         newly = np.isnan(self.blow_t) & ~np.all(np.isfinite(c), axis=-1)
         self.blow_t[newly] = t
         return np.where(np.isnan(self.blow_t)[:, None], c, 0.0)
+
+    def advance(self, increments):
+        """The save rows of one chunk of increments (see _advance_block)."""
+        return _advance_block(self.model, self.basis, self, increments)
 
 
 def start_block(model, basis, x0, M, dt, stepper, save_every):
@@ -173,17 +182,17 @@ def start_block(model, basis, x0, M, dt, stepper, save_every):
         L = np.repeat(np.asarray(L, float)[None, :], M, axis=0)
         denom = 1.0 - dt * L
     c = np.repeat(project_initial(basis, x0)[None, :], M, axis=0)
-    return BlockRun(model=model.prepare(basis, M), c=c, blow_t=np.full(M, np.nan),
-                    dt=dt, save_every=save_every, L=L, denom=denom)
+    return BlockRun(model=model.prepare(basis, M), basis=basis, c=c, dt=dt, L=L,
+                    blow_t=np.full(M, np.nan), save_every=save_every, denom=denom)
 
 
 def _advance_block(model, basis, run, increments):
     """Advance `run` in place through one time-major chunk of increments
     (k, M, m) and return the chunk's save rows (M, rows, n), led by the
-    initial row when the chunk is the run's first.  `model` and `basis`
-    are those the run was started with; the steps call the run's
-    prepared copy of the model.  Rows that turn non-finite get their
-    blow-up time and are NaN on the save grid from then on."""
+    initial row when the chunk is the run's first.  BlockRun.advance
+    passes the run's own model and basis; the steps call its prepared
+    copy of the model.  Rows that turn non-finite get their blow-up time
+    and are NaN on the save grid from then on."""
     increments = fit_noise_columns(increments, model.noise_modes(basis))
     model, c, L, denom = run.model, run.c, run.L, run.denom
     dt, save_every = run.dt, run.save_every
@@ -212,8 +221,13 @@ def _advance_block(model, basis, run, increments):
     return saves
 
 
+class _Stopped(Exception):
+    """A worker's way out once another has raised or the caller is
+    interrupted."""
+
+
 def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1,
-               threads=None, partner=None):
+               threads=None, helper_runs=None):
     """Drive paths 0..M-1 through n_steps steps in blocks of BLOCK paths.
 
     For each block [lo, hi): state = start(lo, hi); advance(state, chunk)
@@ -224,57 +238,66 @@ def run_blocks(M, seed, m_modes, n_steps, dt, start, advance, finish, multiple=1
     before any starts, each gets one noise helper process
     (noise.start_helpers) that draws its blocks' noise ahead of the steps.
 
-    With `partner`, a function (lo, hi) -> [(model, basis, BlockRun), ...]
-    that sets up the runs of a block a child steps, each worker's helper
-    also steps them, with `_advance_block`, on the chunks it has drawn.
-    Then advance(state, chunk, rows) gets the list of those runs' save
-    rows for the chunk, and finish(lo, hi, state, blow_t) the list of
-    their blow-up times; a helper that fails or dies raises PartnerError.
-    Without helpers (a stub start_helpers returning None for each) the
-    same runs step here.
+    With `helper_runs`, a function (lo, hi) -> [BlockRun, ...] that sets
+    up the runs of block [lo, hi) a helper steps, each worker's helper
+    also advances them on the chunks it has drawn.  Then advance(state,
+    chunk, stepped) gets, for each of those runs, the pair (save rows of
+    the chunk, blow-up times so far).  Without helpers (a stub
+    start_helpers returning None for each) the same runs step here.
 
     The callbacks of one block share no state with another's.  They run
     with numpy's overflow and invalid-value warnings off: blown rows are
-    NaN by design, and the experiments count them.  The helpers are
-    reaped before this returns or raises."""
+    NaN by design, and the experiments count them.  Once a worker raises,
+    or the calling thread is interrupted, the other workers stop at their
+    next chunk and the error is raised.  The helpers are reaped
+    before this returns or raises; one that fails or dies raises
+    NoiseHelperError."""
     if M < 1:
         raise ConfigError("M must be >= 1")
+    stop = threading.Event()
 
-    def job(lo, hi):        # the partner's runs: step(chunk) and ends()
-        runs = partner(lo, hi)
-        return (lambda chunk: [_advance_block(m, b, r, chunk) for m, b, r in runs],
-                lambda: [r.blow_t for _, _, r in runs])
+    def job(lo, hi):        # the block's helper runs: chunk -> [(rows, blow_t)]
+        runs = helper_runs(lo, hi)
+        return lambda chunk: [(run.advance(chunk), run.blow_t) for run in runs]
 
     def do_block(span, helper):
         lo, hi = span
-        # the partner's part of the callbacks' arguments
-        rows, ends = (lambda chunk: ()), (lambda: ())
-        if partner is not None:
-            step, end = (job(lo, hi) if helper is None
-                         else (lambda chunk: helper.receive(), helper.receive))
-            rows, ends = (lambda chunk: (step(chunk),)), (lambda: (end(),))
+        stepped = lambda chunk: ()      # the helper runs' part of advance's arguments
+        if helper_runs is not None:
+            step = job(lo, hi) if helper is None else (lambda chunk: helper.receive())
+            stepped = lambda chunk: (step(chunk),)
         with np.errstate(over="ignore", invalid="ignore"):
             state = start(lo, hi)
             for chunk in sn.stream_block(m_modes, n_steps, dt, seed, range(lo, hi),
                                          multiple, helper):
-                advance(state, chunk, *rows(chunk))
+                if stop.is_set():
+                    raise _Stopped
+                advance(state, chunk, *stepped(chunk))
             del chunk   # frees the noise buffer before the block-end reductions
-            return finish(lo, hi, state, *ends())
+            return finish(lo, hi, state)
 
     spans = [(lo, min(lo + BLOCK, M)) for lo in range(0, M, BLOCK)]
     nw = min(worker_count(threads), len(spans))
     span_lists = [spans[w::nw] for w in range(nw)]
     helpers = sn.start_helpers(seed, m_modes, n_steps, span_lists, multiple,
-                               job=None if partner is None else (dt, job))
+                               job=None if helper_runs is None else (dt, job))
 
     def work(w):
-        return [do_block(span, helpers[w]) for span in span_lists[w]]
+        try:
+            return [do_block(span, helpers[w]) for span in span_lists[w]]
+        except _Stopped:
+            return None
     try:
         if nw == 1:
             done = [work(0)]
         else:
             with ThreadPoolExecutor(max_workers=nw) as ex:
-                done = list(ex.map(work, range(nw)))
+                try:
+                    futures = [ex.submit(work, w) for w in range(nw)]
+                    wait(futures, return_when=FIRST_EXCEPTION)
+                finally:
+                    stop.set()      # a worker raised, or the caller was interrupted
+            done = [f.result() for f in futures]    # raises a failed worker's error
         return [done[j % nw][j // nw] for j in range(len(spans))]
     finally:
         sn.stop_helpers(helpers)
@@ -297,7 +320,7 @@ def solve_path(model, basis, x0, noise_path, stepper, t_end, save_dt):
         raise ConfigError(
             f"noise path carries {noise_path.m_modes} modes, model uses {m_need}")
     run = start_block(model, basis, x0, 1, dt, stepper, save_every)
-    states = _advance_block(model, basis, run, noise_path.increments[:steps, None, :])
+    states = run.advance(noise_path.increments[:steps, None, :])
     if np.isfinite(run.blow_t[0]):
         raise NonfiniteStateError(
             f"path {noise_path.path_id} blew up at t={run.blow_t[0]:.6g}",
@@ -327,7 +350,7 @@ def solve_ensemble(model, basis, x0, M, seed, t_end, dt, save_dt, stepper=None,
 
     def advance(state, chunk):
         run, windows = state
-        windows.append(_advance_block(model, basis, run, chunk))
+        windows.append(run.advance(chunk))
 
     states, blow_t = zip(*run_blocks(
         M, seed, model.noise_modes(basis), steps, dt,

@@ -196,8 +196,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(spde.__file__)))
 
 # a moments run of three blocks, two chunks each, a dt-refinement
 # uniqueness run whose chunks hold whole coarse steps (multiple 16), and a
-# converge run of a full and a tail block, whose finest level steps on a
-# partner process
+# converge run of a full and a tail block, whose coarser levels step on
+# the noise helper process
 BIT_JOBS = [
     (["moments", "--model", "p-laplacian", "--n-modes", "16", "--paths", "600",
       "--seed", "4", "--t-end", "0.2", "--dt", "0.001", "--save-dt", "0.01"],
@@ -216,8 +216,8 @@ def test_csv_bytes_independent_of_workers_and_blas_threads(tmp_path, monkeypatch
                                                            args, csv_name):
     # each setting runs `spde` in a fresh interpreter, so the BLAS thread
     # count takes effect; the reference draws in process from one
-    # path_generator per path, with no helper (a converge partner draws
-    # its noise so in either case)
+    # path_generator per path, with no helper, and so steps converge's
+    # coarser levels in process too
     outs = {}
     for threads in (1, 2):
         for blas in ("1", "2"):
@@ -751,3 +751,19 @@ def test_config_keeps_the_model_it_resolved_defaults_from(tmp_path):
     assert model is cfg.build_model()
     assert cfg.experiment["alpha"] == float(model.alpha)
     assert cfg.basis["v_weight_exponent"] == model.v_weight_exponent
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"model": "heat-ou"}, "model must be a JSON object"),
+    ({"model": {"name": "heat-ou"}, "run": None}, "run must be a JSON object"),
+    ({"model": {"name": "heat-ou"}, "basis": [1, 2]}, "basis must be a JSON object"),
+    ({"model": {"name": ["heat-ou"]}}, "model.name must be a string"),
+    ({"model": {"name": "heat-ou"}, "out_dir": None}, "out_dir must be a string"),
+])
+def test_cli_rejects_sections_of_the_wrong_type(tmp_path, monkeypatch, capsys, doc,
+                                                needle):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"command": "check", **doc})
+    code = cli.main(["check", "--config", path])
+    assert_usage_error(capsys, code, needle)
+    assert sorted(os.listdir(tmp_path)) == sorted([os.path.basename(path)])

@@ -616,7 +616,45 @@ def test_galerkin_convergence_counts_blowups():
     assert finite.extra["n_blown"] == 0 and finite.rows[0][3] == 40
 
 
-EXPERIMENTS = ("moments", "equicontinuity", "converge", "continuity", "uniqueness")
+def test_galerkin_convergence_counts_coarse_blowups_after_the_first_chunk(monkeypatch):
+    # the helper steps level 4 through a block of 20 chunks and sends each
+    # chunk's rows with the level's blow-up times so far; blow-ups past
+    # the first chunk must reach the table as when the parent steps every
+    # level (the reference, with helpers stubbed as in test_config_cli)
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 40 * 8 * 5)     # 5-step chunks
+    m, kw = QuadraticOU(1.0), dict(M=40, seed=2, t_end=1.0, dt=1e-2, save_dt=1e-2)
+    sent, run_blocks = [], sv.run_blocks
+
+    def tap(M, seed, m_modes, n_steps, dt, start, advance, *args, **kwargs):
+        def spy(state, chunk, stepped):     # the level-4 blow-up times of each chunk
+            sent.append(np.array(stepped[0][1]))
+            advance(state, chunk, stepped)
+        return run_blocks(M, seed, m_modes, n_steps, dt, start, spy, *args, **kwargs)
+    monkeypatch.setattr(sv, "run_blocks", tap)
+    tab = dg.galerkin_convergence(m, np.zeros(4), [4, 8], **kw)
+
+    monkeypatch.setattr(sv, "run_blocks", run_blocks)
+    level4, start_block = [], sv.start_block
+
+    def record(model, basis, *args):
+        run = start_block(model, basis, *args)
+        if basis.n_modes == 4:
+            level4.append(run)
+        return run
+    monkeypatch.setattr(sv, "start_block", record)
+    monkeypatch.setattr(sn, "start_helpers",
+                        lambda seed, m, steps, span_lists, multiple=1, job=None:
+                        [None] * len(span_lists))
+    monkeypatch.setattr(sn, "stop_helpers", lambda helpers: None)
+    ref = dg.galerkin_convergence(m, np.zeros(4), [4, 8], **kw)
+
+    assert 0 < tab.extra["n_blown"] < 40
+    assert tab.rows == ref.rows and tab.extra == ref.extra
+    assert len(sent) == 20 and np.isnan(sent[0]).all()
+    assert np.array_equal(sent[-1], level4[0].blow_t, equal_nan=True)
+
+
+EXPERIMENTS =("moments", "equicontinuity", "converge", "continuity", "uniqueness")
 
 
 def run_experiment(name, m, x0, **kw):

@@ -8,9 +8,7 @@ import spde
 
 SRC = pathlib.Path(spde.__file__).parent
 
-# benchmark/tracer.py wraps solver._advance_block by name, so diagnostics
-# steps through it until a benchmark change renames it
-ALLOWED = {("solver", "_advance_block")}
+ALLOWED = set()
 
 # public names kept without a caller in src/, each for a reader outside it
 UNCALLED = {

@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import signal
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -15,7 +16,7 @@ from spde import models as sm
 from spde import noise as sn
 from spde import solver as sv
 from spde.errors import (ConfigError, NoiseHelperError, NonfiniteStateError,
-                         PartnerError, UnsupportedModelNormError)
+                         UnsupportedModelNormError)
 
 
 def unit(n, k=0):
@@ -491,6 +492,41 @@ def test_run_blocks_reaps_helpers_when_a_callback_raises(monkeypatch, threads):
     assert_no_child_left()
 
 
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("cause", ["callback", "interrupt"])
+def test_run_blocks_stops_every_worker_at_the_first_error(monkeypatch, cause, threads):
+    # worker 0 raises, or sends the calling thread a signal, in block 0's
+    # second chunk; each block has 700 to 2,000 chunks of 2 ms, and every
+    # worker must stop after a small part of them, with the cause raised
+    monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
+    chunks = {}
+
+    def advance(state, chunk):
+        count_chunk(state, chunk)
+        chunks[state["lo"]] = state["chunks"]
+        if state["lo"] == 0 and state["chunks"] == 2:
+            if cause == "callback":
+                raise ConfigError("stop in block 0")
+            os.kill(os.getpid(), signal.SIGUSR1)
+        time.sleep(0.002)
+
+    def interrupt(signum, frame):
+        raise Interrupted
+    old = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        with deadline(60), pytest.raises(ConfigError if cause == "callback"
+                                         else Interrupted):
+            run_counted(threads, advance, steps=10 ** 4)
+    finally:
+        signal.signal(signal.SIGUSR1, old)
+    assert max(chunks.values()) < 100
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_raises_when_a_helper_is_killed(monkeypatch, threads):
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
@@ -547,26 +583,27 @@ OU_BASIS = OU.make_basis(2)
 
 
 def ou_run(lo, hi):
-    """A partner's runs of block [lo, hi), which a helper steps: heat-ou
-    on 2 modes from e1, saving every 5 steps of 1e-3."""
-    return [(OU, OU_BASIS, sv.start_block(OU, OU_BASIS, unit(2), hi - lo, 1e-3, None, 5))]
+    """The runs of block [lo, hi) a helper steps: heat-ou on 2 modes from
+    e1, saving every 5 steps of 1e-3."""
+    return [sv.start_block(OU, OU_BASIS, unit(2), hi - lo, 1e-3, None, 5)]
 
 
 def run_partnered(threads, advance, M=600, steps=400):
-    """run_counted with an ou_run partner, which the helpers step: each
-    block's state counts its chunks and the partner's save rows, and
-    finish adds the shape of its blow_t."""
+    """run_counted with ou_run's runs, which the helpers step: each
+    block's state counts its chunks and the helper runs' save rows, and
+    finish adds the shape of their latest blow_t."""
     return sv.run_blocks(M, 0, 2, steps, 1e-3,
                          lambda lo, hi: {"lo": lo, "chunks": 0, "rows": 0},
                          advance,
-                         lambda lo, hi, state, blow_t: (lo, state["chunks"],
-                                                        state["rows"], blow_t[0].shape),
-                         threads=threads, partner=ou_run)
+                         lambda lo, hi, state: (lo, state["chunks"], state["rows"],
+                                                state["blow_t"].shape),
+                         threads=threads, helper_runs=ou_run)
 
 
-def count_partner_chunk(state, chunk, rows):
+def count_partner_chunk(state, chunk, stepped):
     count_chunk(state, chunk)
-    state["rows"] += rows[0].shape[1]
+    (rows, state["blow_t"]), = stepped
+    state["rows"] += rows.shape[1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -576,13 +613,14 @@ def test_run_blocks_forks_one_partner_per_worker_and_reaps_it(monkeypatch, threa
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)     # 5-step chunks
     forked = record_helpers(monkeypatch)
 
-    def advance(state, chunk, rows):
+    def advance(state, chunk, stepped):
         if "run" not in state:
-            state["run"] = ou_run(state["lo"], state["lo"] + chunk.shape[1])[0][2]
-        here = sv._advance_block(OU, OU_BASIS, state["run"], chunk)
-        assert len(rows) == 1 and rows[0].shape == here.shape
-        assert np.array_equal(rows[0], here)
-        count_partner_chunk(state, chunk, rows)
+            state["run"] = ou_run(state["lo"], state["lo"] + chunk.shape[1])[0]
+        here = state["run"].advance(chunk)
+        assert len(stepped) == 1 and stepped[0][0].shape == here.shape
+        assert np.array_equal(stepped[0][0], here)
+        assert np.array_equal(stepped[0][1], state["run"].blow_t, equal_nan=True)
+        count_partner_chunk(state, chunk, stepped)
     with deadline(60):
         got = run_partnered(threads, advance)
     # 80 saves past the initial row; chunks of 5 steps, and of 14 for the
@@ -598,8 +636,8 @@ def test_run_blocks_reaps_partners_when_a_callback_raises(monkeypatch, threads):
     # block 1 stops on its second chunk while its helper is far from done
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
 
-    def advance(state, chunk, rows):
-        count_partner_chunk(state, chunk, rows)
+    def advance(state, chunk, stepped):
+        count_partner_chunk(state, chunk, stepped)
         if state["lo"] == 256 and state["chunks"] == 2:
             raise ConfigError("stop in block 1")
     with deadline(60), pytest.raises(ConfigError, match="stop in block 1"):
@@ -612,11 +650,11 @@ def test_run_blocks_raises_when_a_partner_is_killed(monkeypatch, threads):
     monkeypatch.setattr(sn, "CHUNK_NORMALS", 256 * 2 * 5)
     forked = record_helpers(monkeypatch)
 
-    def advance(state, chunk, rows):
-        count_partner_chunk(state, chunk, rows)
+    def advance(state, chunk, stepped):
+        count_partner_chunk(state, chunk, stepped)
         if state["lo"] == 0 and state["chunks"] == 1:
             os.kill(forked[0].pid, signal.SIGKILL)
-    with deadline(60), pytest.raises(PartnerError, match="exit status -9"):
+    with deadline(60), pytest.raises(NoiseHelperError, match="exit status -9"):
         run_partnered(threads, advance)
     assert_no_child_left()
 
@@ -627,7 +665,7 @@ def test_run_blocks_raises_when_a_partner_run_fails(monkeypatch, threads):
     def broken(model, basis, run, increments):
         raise ValueError(f"no step for {run.c.shape[0]} paths")
     monkeypatch.setattr(sv, "_advance_block", broken)
-    with deadline(60), pytest.raises(PartnerError,
+    with deadline(60), pytest.raises(NoiseHelperError,
                                      match="exit status 1.*no step for 256 paths"):
         run_partnered(threads, count_partner_chunk)
     assert_no_child_left()
@@ -635,7 +673,7 @@ def test_run_blocks_raises_when_a_partner_run_fails(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_helper_exits_when_its_ends_close_while_a_partner_runs(monkeypatch, threads):
-    # the helpers are stopped while they still step the partner runs, with
+    # the helpers are stopped while they still step their runs, with
     # far more chunks left than a ring or a pipe holds.  Each helper is
     # forked holding copies of the parent's ends of the helpers forked
     # before it; unless it drops them, stop_helpers waits on the first
@@ -649,8 +687,8 @@ def test_helper_exits_when_its_ends_close_while_a_partner_runs(monkeypatch, thre
         stop(helpers)
     monkeypatch.setattr(sn, "stop_helpers", spy)
 
-    def advance(state, chunk, rows):
-        count_partner_chunk(state, chunk, rows)
+    def advance(state, chunk, stepped):
+        count_partner_chunk(state, chunk, stepped)
         if state["chunks"] == 2:
             raise ConfigError("stop early")
     with deadline(60), pytest.raises(ConfigError, match="stop early"):
@@ -665,9 +703,8 @@ def test_stepping_helper_exits_when_its_ends_close_while_a_sibling_steps():
     # sees the parent stop.  Both have far more chunks to step than their
     # ring and pipe hold.
     def job(lo, hi):
-        (model, basis, run), = ou_run(lo, hi)
-        return (lambda chunk: [sv._advance_block(model, basis, run, chunk)],
-                lambda: [run.blow_t])
+        run, = ou_run(lo, hi)
+        return lambda chunk: [(run.advance(chunk), run.blow_t)]
     helpers = sn.start_helpers(0, 2, 10 ** 5, [[(0, 256)], [(256, 512)]],
                                job=(1e-3, job))
     try:
