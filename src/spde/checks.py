@@ -6,14 +6,25 @@ when margin < -tol*scale with scale = 1 + |LHS| + |RHS|, or when the
 margin is not finite.  Everything is deterministic in (seed, n_samples);
 growth audits use a certified lower bound of the dual norm, so a
 reported violation there is a genuine one.
+
+The hemicontinuity audit (H1), most of an audit's time, runs on two
+processes: with two or more blocks of samples, called from a process
+that runs one thread (as `spde check` does, with spde's default of one
+BLAS thread), it forks one child, which evaluates the first half of the
+blocks while the calling process evaluates the second, and sends its
+per-sample results back through a pipe.  Each block is evaluated as in
+one process, so the report keeps every bit.
 """
 
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import basis as sb
-from .errors import IncompleteSpecError, MissingHypothesisSpecError
+from .errors import (HemicontinuityChildError, IncompleteSpecError,
+                     MissingHypothesisSpecError)
 
 TOL = 1e-8
 MAX_STORED_VIOLATIONS = 16
@@ -127,6 +138,15 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
     jumps are reduced once per full chunk, not once per block; max, abs
     and diff act row by row, so the chunk size changes no bit.
 
+    Two processes share the blocks.  With two or more blocks, and this
+    process running a single thread (_one_thread), one forked child
+    evaluates the first half of them while this process evaluates
+    the rest, the folded last block among them; each side fills its own
+    buffer, and the child sends gmax, j1 and j2 of its samples back
+    through a pipe (_on_child).  Each block is evaluated as in one
+    process and the reductions act row by row, so the split changes no
+    bit.  A single block runs here, without a fork.
+
     The test is the ratio of the largest adjacent jumps across the last
     4x refinement (4x grid to fine grid): a continuous map shrinks it by
     about the refinement factor once the grid resolves it, while a
@@ -168,32 +188,103 @@ def check_hemicontinuity(model, basis, n_samples=1000, n_lambda=16, seed=0):
         del starts[-1]      # fold a short last block into the one before
     # g values of a chunk of whole blocks; a folded last block may need more
     chunk = max(1, H1_GRID_VALUES // grid.size // block) * block
-    gbuf = np.empty((min(n_samples, max(chunk, n_samples - starts[-1])), grid.size))
     j1 = np.empty(n_samples)
     j2 = np.empty(n_samples)
     gmax = np.empty(n_samples)
 
-    def reduce(lo, hi):
-        # jumps of the chunk's samples lo:hi, held in gbuf[:hi - lo]
-        g = gbuf[:hi - lo]
-        gmax[lo:hi] = np.max(np.abs(g[:, ::16]), axis=1)
-        j1[lo:hi] = max_jump(g[:, ::4])
-        j2[lo:hi] = max_jump(g)
+    def share(bounds):
+        # the blocks starting at bounds[:-1], up to bounds[-1]: their
+        # samples' gmax, j1 and j2
+        end = bounds[-1]
+        gbuf = np.empty((min(end - bounds[0], max(chunk, end - bounds[-2])), grid.size))
 
-    first = 0
-    for lo, hi in zip(starts, starts[1:] + [n_samples]):
-        if hi - first > len(gbuf):
-            reduce(first, lo)
-            first = lo
-        for a, b in zip(cuts, cuts[1:]):
-            gbuf[lo - first:hi - first, a:b] = g_values(lo, hi, a, b)
-    reduce(first, n_samples)
+        def reduce(lo, hi):
+            # jumps of the chunk's samples lo:hi, held in gbuf[:hi - lo]
+            g = gbuf[:hi - lo]
+            gmax[lo:hi] = np.max(np.abs(g[:, ::16]), axis=1)
+            j1[lo:hi] = max_jump(g[:, ::4])
+            j2[lo:hi] = max_jump(g)
+
+        first = bounds[0]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - first > len(gbuf):
+                reduce(first, lo)
+                first = lo
+            for a, b in zip(cuts, cuts[1:]):
+                gbuf[lo - first:hi - first, a:b] = g_values(lo, hi, a, b)
+        reduce(first, end)
+
+    bounds = starts + [n_samples]
+    if len(starts) == 1 or not _one_thread():
+        share(bounds)
+    else:   # the first half of the blocks on a child, the rest here
+        half = len(starts) // 2
+        _on_child(lambda: share(bounds[:half + 1]), lambda: share(bounds[half:]),
+                  (gmax, j1, j2), starts[half])
     floor = 1e-12 * (1.0 + gmax)
     ratios = np.where(j1 > floor, j2 / np.maximum(j1, floor), 0.0)
     margins = 0.6 - ratios
     scales = np.ones_like(margins)
     fitted = {"mean_ratio": float(np.mean(ratios)), "max_ratio": float(np.max(ratios))}
     return _report("H1", margins, scales, fitted, us, vs)
+
+
+def _one_thread():
+    """Whether this process runs a single thread, BLAS threads included.
+    A fork copies only the calling thread; and with a multi-threaded BLAS
+    on both sides, the two processes' BLAS threads contend for the cores
+    (p-laplacian H1 at n = 64 with two OpenBLAS threads took 0.8 to 29 s
+    forked, against 0.6 to 0.9 s in one process)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:     # no /proc to count them: no fork
+        return False
+
+
+def _on_child(child, parent, arrays, n):
+    """Run child() on one forked process while parent() runs here; child()
+    fills the first n values of each of `arrays`, which it sends back
+    through a pipe.  The child leaves only through os._exit; if parent()
+    or the wait raises, it is killed and reaped before the error
+    propagates.  A child that fails or dies raises
+    HemicontinuityChildError with its exit status and message."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            child()
+            with open(w, "wb") as f:
+                for a in arrays:
+                    f.write(a[:n])
+            code = 0
+        except BaseException as e:
+            try:
+                os.write(w, repr(e).encode()[:4000])
+            except OSError:
+                pass
+        finally:
+            os._exit(code)
+    try:
+        os.close(w)
+        parent()
+        said = b"".join(iter(lambda: os.read(r, 1 << 20), b""))
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+    finally:
+        os.close(r)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or len(said) != 8 * n * len(arrays):
+        why = said.decode(errors="replace") if code else "short of its results"
+        raise HemicontinuityChildError(
+            f"H1 child ended before sending its blocks (exit status {code})"
+            f"{': ' + why if why else ''}")
+    for i, a in enumerate(arrays):
+        a[:n] = np.frombuffer(said, count=n, offset=8 * n * i)
 
 
 def check_local_monotonicity(model, basis, n_samples=1000, variant="H2", seed=0):

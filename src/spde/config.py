@@ -6,7 +6,9 @@ _DEFAULTS, EXPERIMENT_KEYS) and a loaded config holds every default.  All
 commands share the model, basis and run sections; an experiment key
 outside the command's row of READS is an error.  Unknown keys anywhere
 are errors, flags override file fields, model parameters and
-initial-data coefficients must be finite numbers, the exponents p and
+initial-data coefficients must be finite numbers (a model constructor
+that overflows on them is an error too), n_modes, grid_size and the
+converge levels have caps (MAX_N_MODES, MAX_GRID_SIZE), the exponents p and
 alpha finite positive numbers (read as floats), the deltas, perturbations
 and dt levels non-empty lists of finite positive numbers, and the dt |
 save_dt | t_end divisibility contract is enforced up front so every
@@ -59,6 +61,13 @@ FLAGS = (
 )
 
 _SECTIONS = ("model", "basis", "run", "experiment")
+
+# the largest Galerkin dimension and collocation grid a config may ask
+# for, checked before anything is allocated: a basis holds (n_modes,
+# grid_size) float64 matrices, 128 MiB each at both caps
+MAX_N_MODES = 2 ** 10
+MAX_GRID_SIZE = 2 ** 14
+
 # the x0 and direction presets, as coefficients of n modes
 _PRESETS = {"zero": np.zeros, "e1": lambda n: np.eye(1, n)[0],
             "decay2": lambda n: 1.0 / (1.0 + np.arange(n)) ** 2}
@@ -96,20 +105,24 @@ def _finite_number(value, what):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def _integer(value, what, minimum=1):
-    """An integer >= minimum, given as an int or an integral float."""
+def _integer(value, what, minimum=1, maximum=None):
+    """An integer >= minimum (and <= maximum, if given), given as an int or
+    an integral float."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{what} must be at most {maximum}, got {value!r}")
     return int(value)
 
 
 def _check_levels(value, what):
-    """Galerkin levels: at least two distinct integers >= 1."""
+    """Galerkin levels: at least two distinct integers in [1, MAX_N_MODES]."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{what} must be a list, got {value!r}")
-    levels = [_integer(v, f"{what}[{i}]") for i, v in enumerate(value)]
+    levels = [_integer(v, f"{what}[{i}]", maximum=MAX_N_MODES)
+              for i, v in enumerate(value)]
     if len(levels) < 2 or len(set(levels)) != len(levels):
         raise ConfigError(
             f"{what} must hold at least two distinct integers, got {value!r}")
@@ -238,7 +251,11 @@ def load_config(path=None, flags=None):
     _reject_unknown("model", model_sec, inspect.signature(MODELS[name]).parameters)
     for key, value in model_sec.items():
         _finite_number(value, f"model.{key}")
-    model = build_model(name, **model_sec)
+    try:
+        model = build_model(name, **model_sec)
+    except OverflowError:   # a finite constant whose square or power is not
+        raise ConfigError("model constants overflow: " + ", ".join(
+            f"model.{key}={value!r}" for key, value in model_sec.items())) from None
     _reject_unknown("basis", basis_sec, _DEFAULTS["basis"])
     _reject_unknown("run", run_sec, {"save_dt", *_DEFAULTS["run"]})
     _reject_unknown("experiment", exp_sec, EXPERIMENT_KEYS)
@@ -248,11 +265,12 @@ def load_config(path=None, flags=None):
     if command != "uniqueness":     # which saves at its coarsest dt level, below
         run.setdefault("save_dt", run["dt"])
 
-    basis["n_modes"] = _integer(basis["n_modes"], "basis.n_modes")
+    basis["n_modes"] = _integer(basis["n_modes"], "basis.n_modes", maximum=MAX_N_MODES)
     if basis["grid_size"] is None:
         basis["grid_size"] = 4 * basis["n_modes"]
     else:
-        basis["grid_size"] = _integer(basis["grid_size"], "basis.grid_size")
+        basis["grid_size"] = _integer(basis["grid_size"], "basis.grid_size",
+                                      maximum=MAX_GRID_SIZE)
         if basis["grid_size"] < 4 * basis["n_modes"]:
             raise ConfigError("basis.grid_size must be >= 4*n_modes")
     if basis["v_weight_exponent"] is None:

@@ -57,3 +57,8 @@ class ConfigError(SpdeError):
 class NoiseHelperError(SpdeError):
     """A noise helper process ended before drawing (and, with a stepping
     job, stepping) all of its chunks."""
+
+
+class HemicontinuityChildError(SpdeError):
+    """The child process of a hemicontinuity audit ended before sending
+    the results of its share of blocks."""

@@ -2,6 +2,12 @@ import os
 
 import pytest
 
+# One OpenBLAS thread in this process, as a `spde` command has by default,
+# set before anything loads numpy: checks.check_hemicontinuity forks its
+# child only from a process that runs one thread, and the tests cover that
+# path.  Tests that vary the BLAS threads do so in subprocesses.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():

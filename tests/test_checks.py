@@ -1,12 +1,25 @@
+import contextlib
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_solver import assert_no_child_left, deadline
 
 from spde import basis as sb
 from spde import checks as ck
+from spde import cli
 from spde import models as sm
-from spde.errors import IncompleteSpecError, MissingHypothesisSpecError
+from spde.errors import (HemicontinuityChildError, IncompleteSpecError,
+                         MissingHypothesisSpecError)
+
+SRC = pathlib.Path(ck.__file__).parents[1]
 
 
 def grad_h_norm_sq(basis, w):
@@ -296,26 +309,43 @@ def test_hemicontinuity_one_grid_matches_three_grids_cahn_hilliard():
     assert_report_matches_ratios(rep, ref, rtol=1e-12)
 
 
+def log_rows(log, rows):
+    """Append "pid rows" to the file `log`: H1 evaluates half of its blocks
+    on a forked child, so a count held in memory would miss its calls."""
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()} {rows}\n")
+
+
+def logged_rows(log):
+    """The (pid, rows) pairs log_rows appended to `log`, and empties it."""
+    with open(log, "r+") as f:
+        pairs = [tuple(map(int, line.split())) for line in f]
+        f.truncate(0)
+    return pairs
+
+
 class RowCountingHeat(sm.HeatOU):
-    def __init__(self):
+    def __init__(self, log):
         super().__init__(sigma=0.5)
-        self.rows = 0
-        self.calls = 0
+        self.log = log
+        open(log, "w").close()
 
     def apply_A(self, basis, t, coeffs):
-        self.rows += np.asarray(coeffs).reshape(-1, basis.n_modes).shape[0]
-        self.calls += 1
+        log_rows(self.log, np.asarray(coeffs).reshape(-1, basis.n_modes).shape[0])
         return super().apply_A(basis, t, coeffs)
 
 
-def count_h1_calls(n, n_samples, n_lambda):
-    """apply_A calls of one H1 audit at n, after checking that every lambda
-    point of every sample is evaluated exactly once."""
-    model = RowCountingHeat()
+def count_h1_calls(log, n, n_samples, n_lambda):
+    """apply_A calls of one H1 audit at n, in this process and its child,
+    after checking that every lambda point of every sample is evaluated
+    exactly once."""
+    model = RowCountingHeat(log)
     basis = model.make_basis(n)
     ck.check_hemicontinuity(model, basis, n_samples=n_samples, n_lambda=n_lambda)
-    assert model.rows == (16 * (n_lambda - 1) + 1) * n_samples
-    return model.calls
+    calls = logged_rows(log)
+    assert sum(rows for _, rows in calls) == (16 * (n_lambda - 1) + 1) * n_samples
+    assert len({pid for pid, _ in calls}) == 2      # both processes evaluated
+    return len(calls)
 
 
 # apply_A calls, one per block: at n = 8 (grid_size 32) a block holds
@@ -324,14 +354,15 @@ H1_CALLS = {(300, 16): 150, (100, 17): 100, (512, 16): 256}
 
 
 @pytest.mark.parametrize("n_samples,n_lambda", sorted(H1_CALLS))
-def test_hemicontinuity_evaluates_each_lambda_once(n_samples, n_lambda):
-    assert count_h1_calls(8, n_samples, n_lambda) == H1_CALLS[n_samples, n_lambda]
+def test_hemicontinuity_evaluates_each_lambda_once(tmp_path, n_samples, n_lambda):
+    assert count_h1_calls(tmp_path / "rows", 8, n_samples, n_lambda) \
+        == H1_CALLS[n_samples, n_lambda]
 
 
-def test_hemicontinuity_split_lines_evaluate_each_lambda_once():
+def test_hemicontinuity_split_lines_evaluate_each_lambda_once(tmp_path):
     # at n = 32 (grid_size 128) a block holds 127 rows, so each 241-row
     # line is cut into parts of 120 and 121 rows
-    assert count_h1_calls(32, 100, 16) == 200
+    assert count_h1_calls(tmp_path / "rows", 32, 100, 16) == 200
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -358,17 +389,19 @@ def report_fields(rep):
 
 
 @pytest.mark.parametrize("name", sorted(sm.MODELS))
-def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
+def test_hemicontinuity_report_independent_of_block_size(monkeypatch, tmp_path, name):
     # the default rule, the smallest parts it allows and one block holding
     # every line give the same bits: a block or part keeps H1_MIN_PART
     # coefficient values, enough that every row rounds as in a full block.
-    # 70 samples at n = 16 fill one chunk of 67 and part of a second
+    # 70 samples at n = 16 fill one chunk of 67 and part of a second.
+    # The rows are logged to a file, from this process and H1's child.
     model = sm.build_model(name)
     apply_A = model.apply_A
-    rows = []
+    log = tmp_path / "rows"
+    log.touch()
 
     def counting_apply_A(basis, t, coeffs):
-        rows.append(len(coeffs))
+        log_rows(log, len(coeffs))
         return apply_A(basis, t, coeffs)
 
     monkeypatch.setattr(model, "apply_A", counting_apply_A)
@@ -383,10 +416,9 @@ def test_hemicontinuity_report_independent_of_block_size(monkeypatch, name):
             runs = []
             for values in (budget, 1, n_samples * line * basis.grid_size):
                 monkeypatch.setattr(ck, "H1_GRID_VALUES", values)
-                rows.clear()
                 rep = ck.check_hemicontinuity(model, basis, n_samples=n_samples,
                                               n_lambda=n_lambda, seed=6)
-                runs.append((report_fields(rep), list(rows)))
+                runs.append((report_fields(rep), [r for _, r in logged_rows(log)]))
             (ref, default), (small, smallest), (whole, one_block) = runs
             assert small == ref and whole == ref
             assert sum(default) == sum(smallest) == n_samples * line
@@ -411,6 +443,178 @@ def test_hemicontinuity_folds_a_short_last_block(monkeypatch, name):
         monkeypatch.setattr(ck, "H1_GRID_VALUES", 10 ** 9)
         whole = ck.check_hemicontinuity(model, basis, n_samples=n_samples, seed=4)
         assert report_fields(ref) == report_fields(whole)
+
+
+class ScriptedHeat(sm.HeatOU):
+    """heat-ou whose apply_A first calls in_parent() in the process that
+    built it, or in_child() in any other: H1's forked child."""
+
+    def __init__(self, in_parent=None, in_child=None):
+        super().__init__(sigma=0.5)
+        self.parent = os.getpid()
+        self.hooks = (in_parent, in_child)
+
+    def apply_A(self, basis, t, coeffs):
+        hook = self.hooks[os.getpid() != self.parent]
+        if hook is not None:
+            hook()
+        return super().apply_A(basis, t, coeffs)
+
+
+def fail_in_child():
+    raise ValueError("no drift in the child")
+
+
+def test_hemicontinuity_forks_one_child_only_with_two_blocks(monkeypatch, tmp_path):
+    # at n = 16 a block is one line: 6 samples are 6 blocks, 1 sample one.
+    # The two sides overlap in time: each logs the end of its calls.
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    log = tmp_path / "ends"
+    log.touch()
+    model = ScriptedHeat(in_parent=lambda: time.sleep(0.1),
+                         in_child=lambda: time.sleep(0.1))
+    apply_A = model.apply_A
+
+    def timed_apply_A(basis, t, coeffs):
+        out = apply_A(basis, t, coeffs)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {time.monotonic()}\n")
+        return out
+    monkeypatch.setattr(model, "apply_A", timed_apply_A)
+    basis = model.make_basis(16)
+    with deadline(60):
+        rep = ck.check_hemicontinuity(model, basis, n_samples=6)
+    assert rep.n_samples == 6 and len(forks) == 1
+    assert_no_child_left()
+    ends = [line.split() for line in log.read_text().splitlines()]
+    child = [float(t) for pid, t in ends if int(pid) == forks[0]]
+    here = [float(t) for pid, t in ends if int(pid) == os.getpid()]
+    assert len(child) == len(here) == 3
+    assert child[0] < here[-1] and here[0] < child[-1]
+    ck.check_hemicontinuity(model, basis, n_samples=1)
+    assert len(forks) == 1
+
+
+def fork_refused():
+    raise AssertionError("forked beside another thread")
+
+
+def test_hemicontinuity_runs_in_process_beside_another_thread(monkeypatch):
+    # a fork copies only the calling thread: with a second thread running
+    # (or a multi-threaded BLAS), H1 evaluates every block here
+    model = sm.build_model("p-laplacian")
+    basis = model.make_basis(16)
+    ref = ck.check_hemicontinuity(model, basis, n_samples=20, seed=2)
+    monkeypatch.setattr(os, "fork", fork_refused)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        rep = ck.check_hemicontinuity(model, basis, n_samples=20, seed=2)
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert report_fields(rep) == report_fields(ref)
+
+
+def test_hemicontinuity_child_failure_raises_its_message():
+    model = ScriptedHeat(in_child=fail_in_child)
+    with deadline(60), pytest.raises(
+            HemicontinuityChildError,
+            match=r"exit status 1\): ValueError\('no drift in the child'\)"):
+        ck.check_hemicontinuity(model, model.make_basis(16), n_samples=8)
+    assert_no_child_left()
+
+
+def test_hemicontinuity_killed_child_raises():
+    model = ScriptedHeat(in_child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(60), pytest.raises(HemicontinuityChildError, match="exit status -9"):
+        ck.check_hemicontinuity(model, model.make_basis(16), n_samples=8)
+    assert_no_child_left()
+
+
+class Interrupt(KeyboardInterrupt):
+    pass
+
+
+@pytest.mark.parametrize("cause", [ValueError, Interrupt])
+def test_hemicontinuity_kills_the_child_when_this_side_raises(cause):
+    # the child's share of 4 blocks would take 12 s; this side raises in
+    # its first block, and the child must be gone when the error arrives
+    def fail():
+        raise cause("stop here")
+    model = ScriptedHeat(in_parent=fail, in_child=lambda: time.sleep(3))
+    t0 = time.monotonic()
+    with deadline(6), pytest.raises(cause, match="stop here"):
+        ck.check_hemicontinuity(model, model.make_basis(16), n_samples=8)
+    assert time.monotonic() - t0 < 3
+    assert_no_child_left()
+
+
+class ChildFailsHeat(ScriptedHeat):
+    def __init__(self):
+        super().__init__(in_child=fail_in_child)
+
+
+def test_cli_check_reports_a_failed_child(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(sm.MODELS, "child-fails", ChildFailsHeat)
+    with deadline(60):
+        code = cli.main(["check", "--model", "child-fails", "--n-modes", "16",
+                         "--n-samples", "8", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "error: H1 child ended before sending its blocks (exit status 1)" in err
+    assert "no drift in the child" in err and "Traceback" not in err
+    assert_no_child_left()
+
+
+def child_pids(pid):
+    """The pids of the children of process `pid` (one thread), or [] once
+    it has exited."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as f:
+            return [int(c) for c in f.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def test_cli_check_interrupted_in_h1_leaves_no_process(tmp_path):
+    # H1 of 100,000 samples takes several seconds on each side; SIGINT to
+    # the parent must end it and its child at once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spde.cli", "check", "--model", "convection-diffusion",
+         "--n-modes", "16", "--n-samples", "100000", "--out", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    children = []
+    try:
+        t0 = time.monotonic()
+        while not children and time.monotonic() - t0 < 60 and proc.poll() is None:
+            time.sleep(0.05)
+            children = child_pids(proc.pid)
+        assert len(children) == 1, "H1 forked no child"
+        time.sleep(max(0.0, 1.0 - (time.monotonic() - t0)))
+        proc.send_signal(signal.SIGINT)
+        t1 = time.monotonic()
+        proc.communicate(timeout=30)
+        assert time.monotonic() - t1 < 2.0
+        assert proc.returncode != 0
+        assert not os.path.exists(f"/proc/{children[0]}")
+    finally:
+        proc.kill()
+        proc.communicate()
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_cahn_hilliard_phi_matches_power_form():

@@ -13,6 +13,7 @@ from spde import diagnostics as dg
 from spde import models as sm
 from spde import noise as sn
 from spde import solver as sv
+from spde import config as cf
 from spde.config import EXPERIMENT_KEYS, READS, initial_coefficients, load_config
 from spde.errors import ConfigError
 
@@ -340,6 +341,42 @@ def test_cli_rejects_non_integer_sizes(tmp_path, capsys, section, key, value):
     code = cli.main(["check", "--config", path, "--out", str(tmp_path / "c")])
     assert_usage_error(capsys, code, f"{section}.{key} must be an integer")
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("model,flag,key", [("heat-ou", "--sigma", "sigma"),
+                                            ("gradient-noise-heat", "--nu", "nu")])
+def test_cli_rejects_a_model_constant_that_overflows(tmp_path, capsys, model, flag, key):
+    # 1e200 is finite, but the model's constants square it
+    code = cli.main(["check", "--model", model, flag, "1e200", "--n-modes", "4",
+                     "--out", str(tmp_path / "c")])
+    assert_usage_error(capsys, code, f"model.{key}=1e+200")
+    assert not (tmp_path / "c").exists()
+
+
+def refuse_to_build(*args):
+    raise AssertionError("a basis was built")
+
+
+@pytest.mark.parametrize("flag,key,cap", [("--n-modes", "n_modes", cf.MAX_N_MODES),
+                                          ("--grid-size", "grid_size", cf.MAX_GRID_SIZE)])
+def test_cli_rejects_sizes_over_the_cap(tmp_path, monkeypatch, capsys, flag, key, cap):
+    # the cap is checked before the out dir or the basis exists; no basis
+    # is built here, so a size past the cap allocates nothing
+    monkeypatch.setattr(cf, "build_basis", refuse_to_build)
+    for value in (str(10 ** 20), str(cap + 1)):
+        code = cli.main(["check", "--model", "heat-ou", flag, value,
+                         "--out", str(tmp_path / "c")])
+        assert_usage_error(capsys, code, f"basis.{key} must be at most {cap}, got {value}")
+        assert not (tmp_path / "c").exists()
+    flags = {"command": "check", "model": "heat-ou", key: cap}
+    assert load_config(None, flags=flags).basis[key] == cap
+
+
+def test_config_caps_converge_levels(tmp_path):
+    path = write_cfg(tmp_path, {"command": "converge", "model": {"name": "heat-ou"},
+                                "experiment": {"levels": [4, 10 ** 20]}})
+    with pytest.raises(ConfigError, match=r"experiment.levels\[1\] must be at most 1024"):
+        load_config(path)
 
 
 def test_config_seed_zero_and_integral_floats(tmp_path):
